@@ -1077,8 +1077,8 @@ int main(int argc, char** argv) {
       registry.counter("validation_design_memo_hits_total").value();
   const std::uint64_t design_misses =
       registry.counter("validation_design_memo_misses_total").value();
-  std::printf("fused trainer        : %llu fused restarts, %.3f s in batched "
-              "GEMM (%llu calls)\n",
+  std::printf("fused trainer        : %llu fused restarts, %.3f s in fused "
+              "forward+backward (%llu fits)\n",
               static_cast<unsigned long long>(fused_restarts),
               train_gemm.sum(),
               static_cast<unsigned long long>(train_gemm.count()));

@@ -7,10 +7,12 @@
 // Two shapes, picked per call:
 //  - Register-chunk (cols <= 32, inner <= 8): the MLP design matrices are
 //    short and fat-free — 1-8 input columns against a 10-20-wide hidden
-//    layer — so each 8-column output chunk keeps its accumulators in one
-//    vector register across a fully unrolled input loop (compile-time
-//    INNER), touching each output element exactly once. Measured ~1.5-2.8x
-//    over the streaming form at those shapes.
+//    layer — so each output chunk keeps its accumulators in one explicit
+//    lane vector (linalg/simd_lanes.hpp) across a fully unrolled input loop
+//    (compile-time INNER). A ragged column count (hidden 10-20 is rarely a
+//    multiple of 8) is covered by one overlapping chunk instead of scalar
+//    tail columns. Measured ~1.5-2.8x over the streaming form at those
+//    shapes.
 //  - Two-row streaming (everything else): the stacked multi-restart planes
 //    are wide, so the inner loop streams along the contiguous column axis;
 //    processing two batch rows per pass amortizes every W load across two
@@ -25,6 +27,11 @@
 #include <cstring>
 
 #include "common/error.hpp"
+#include "linalg/simd_lanes.hpp"
+
+// The lane vectors stay inside always_inline helpers and never cross a
+// call boundary, so GCC's psABI notes about passing them do not apply.
+#pragma GCC diagnostic ignored "-Wpsabi"
 
 namespace coloc::linalg {
 
@@ -46,31 +53,38 @@ namespace {
 #define COLOC_GEMM_INLINE inline
 #endif
 
-template <int INNER>
+// One row's output columns in W-lane chunks (overlapping at a ragged end,
+// see linalg/simd_lanes.hpp): each lane starts from its bias and adds the
+// INNER input terms in ascending i, so every element keeps its scalar chain.
+template <int INNER, int W>
 COLOC_GEMM_INLINE void chunk_rows(const double* x, const double* w,
                                   const double* bias, double* out,
                                   std::size_t m, std::size_t cols) {
+  using lanes::load;
+  const std::size_t chunks = lanes::chunk_count(cols, W);
   for (std::size_t r = 0; r < m; ++r) {
     const double* xr = x + r * INNER;
     double* orow = out + r * cols;
-    std::size_t c = 0;
-    for (; c + 8 <= cols; c += 8) {
-      double acc[8];
-      for (int k = 0; k < 8; ++k) acc[k] = bias[c + k];
+    for (std::size_t j = 0; j < chunks; ++j) {
+      const std::size_t c = lanes::chunk_offset(j, cols, W);
+      lanes::Vec<W> acc = load<W>(bias + c);
 #pragma GCC unroll 8
-      for (int i = 0; i < INNER; ++i) {
-        const double xi = xr[i];
-        const double* wr = w + static_cast<std::size_t>(i) * cols + c;
-        for (int k = 0; k < 8; ++k) acc[k] += xi * wr[k];
-      }
-      for (int k = 0; k < 8; ++k) orow[c + k] = acc[k];
-    }
-    for (; c < cols; ++c) {
-      double a = bias[c];
       for (int i = 0; i < INNER; ++i)
-        a += xr[i] * w[static_cast<std::size_t>(i) * cols + c];
-      orow[c] = a;
+        acc += xr[i] * load<W>(w + static_cast<std::size_t>(i) * cols + c);
+      lanes::store<W>(orow + c, acc);
     }
+  }
+}
+
+template <int INNER>
+COLOC_GEMM_INLINE void chunk_rows_any(const double* x, const double* w,
+                                      const double* bias, double* out,
+                                      std::size_t m, std::size_t cols) {
+  switch (lanes::width_for(cols)) {
+    case 8: chunk_rows<INNER, 8>(x, w, bias, out, m, cols); return;
+    case 4: chunk_rows<INNER, 4>(x, w, bias, out, m, cols); return;
+    case 2: chunk_rows<INNER, 2>(x, w, bias, out, m, cols); return;
+    default: chunk_rows<INNER, 1>(x, w, bias, out, m, cols); return;
   }
 }
 
@@ -79,14 +93,14 @@ void gemm_chunk(const double* x, const double* w, const double* bias,
                 double* out, std::size_t m, std::size_t inner,
                 std::size_t cols) {
   switch (inner) {
-    case 1: chunk_rows<1>(x, w, bias, out, m, cols); return;
-    case 2: chunk_rows<2>(x, w, bias, out, m, cols); return;
-    case 3: chunk_rows<3>(x, w, bias, out, m, cols); return;
-    case 4: chunk_rows<4>(x, w, bias, out, m, cols); return;
-    case 5: chunk_rows<5>(x, w, bias, out, m, cols); return;
-    case 6: chunk_rows<6>(x, w, bias, out, m, cols); return;
-    case 7: chunk_rows<7>(x, w, bias, out, m, cols); return;
-    case 8: chunk_rows<8>(x, w, bias, out, m, cols); return;
+    case 1: chunk_rows_any<1>(x, w, bias, out, m, cols); return;
+    case 2: chunk_rows_any<2>(x, w, bias, out, m, cols); return;
+    case 3: chunk_rows_any<3>(x, w, bias, out, m, cols); return;
+    case 4: chunk_rows_any<4>(x, w, bias, out, m, cols); return;
+    case 5: chunk_rows_any<5>(x, w, bias, out, m, cols); return;
+    case 6: chunk_rows_any<6>(x, w, bias, out, m, cols); return;
+    case 7: chunk_rows_any<7>(x, w, bias, out, m, cols); return;
+    case 8: chunk_rows_any<8>(x, w, bias, out, m, cols); return;
     default: return;
   }
 }
@@ -159,28 +173,25 @@ void gemm_stream(const double* x, const double* w, const double* bias,
   }
 }
 
-inline void gemm_bias_kernel(const double* x, const double* w,
-                             const double* bias, double* out, std::size_t m,
-                             std::size_t inner, std::size_t cols) {
-  if (cols <= 32 && inner >= 1 && inner <= 8) {
-    gemm_chunk(x, w, bias, out, m, inner, cols);
-  } else {
-    gemm_stream(x, w, bias, out, m, inner, cols);
-  }
-}
-
 }  // namespace
 
 void gemm_bias(const Matrix& x, const Matrix& w, std::span<const double> bias,
                Matrix& out) {
   COLOC_CHECK_MSG(x.cols() == w.rows(), "gemm_bias inner dimension mismatch");
   COLOC_CHECK_MSG(bias.size() == w.cols(), "gemm_bias bias width mismatch");
-  const std::size_t m = x.rows();
-  const std::size_t inner = x.cols();
-  const std::size_t cols = w.cols();
-  out.resize(m, cols);
-  gemm_bias_kernel(x.data().data(), w.data().data(), bias.data(),
-                   out.data().data(), m, inner, cols);
+  out.resize(x.rows(), w.cols());
+  gemm_bias(x.data().data(), w.data().data(), bias.data(), out.data().data(),
+            x.rows(), x.cols(), w.cols());
+}
+
+void gemm_bias(const double* x, const double* w, const double* bias,
+               double* out, std::size_t m, std::size_t inner,
+               std::size_t cols) {
+  if (cols <= 32 && inner >= 1 && inner <= 8) {
+    gemm_chunk(x, w, bias, out, m, inner, cols);
+  } else {
+    gemm_stream(x, w, bias, out, m, inner, cols);
+  }
 }
 
 }  // namespace coloc::linalg

@@ -11,6 +11,7 @@
 // element's accumulation chain).
 #pragma once
 
+#include <cstddef>
 #include <span>
 
 #include "linalg/matrix.hpp"
@@ -22,5 +23,12 @@ namespace coloc::linalg {
 /// Requires x.cols() == w.rows() and bias.size() == w.cols().
 void gemm_bias(const Matrix& x, const Matrix& w, std::span<const double> bias,
                Matrix& out);
+
+/// Raw row-major form of gemm_bias: x is m x inner, w is inner x cols, bias
+/// has cols entries and out is m x cols. Reads and writes no element
+/// outside those extents.
+void gemm_bias(const double* x, const double* w, const double* bias,
+               double* out, std::size_t m, std::size_t inner,
+               std::size_t cols);
 
 }  // namespace coloc::linalg

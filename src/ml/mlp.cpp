@@ -9,6 +9,8 @@
 #include "common/error.hpp"
 #include "common/thread_pool.hpp"
 #include "linalg/fast_math.hpp"
+#include "linalg/gemm_batch.hpp"
+#include "ml/mlp_fused_kernels.hpp"
 #include "ml/scg.hpp"
 
 namespace coloc::ml {
@@ -80,37 +82,21 @@ double MlpNetwork::forward(std::span<const double> x) const {
 namespace {
 
 // Fills scratch.activations with tanh(X * W1^T + b1), one row per batch
-// row. Accumulation order per element matches MlpNetwork::forward exactly:
-// the pre-activation starts at b1[h] and adds the input terms in ascending
-// i, so the batched and rowwise paths are bit-identical. The i-inner-h
-// loop makes the innermost accesses sequential (and vectorizable) in the
-// activations row; W1 is transposed into scratch once per call (inputs x
-// hidden doubles — trivial next to the GEMM).
+// row, through the batched GEMM: each pre-activation starts at b1[h] and
+// adds the input terms in ascending i — MlpNetwork::forward's exact order —
+// so the batched and rowwise paths are bit-identical. W1 is transposed into
+// scratch once per call (inputs x hidden doubles — trivial next to the
+// GEMM).
 void compute_activations(std::size_t inputs, std::size_t hidden,
                          const double* w1, const double* b1,
                          const linalg::Matrix& x, BatchScratch& scratch) {
-  const std::size_t m = x.rows();
-
   linalg::Matrix& w1t = scratch.w1t;
-  if (w1t.rows() != inputs || w1t.cols() != hidden)
-    w1t = linalg::Matrix(inputs, hidden);
+  w1t.resize(inputs, hidden);
   for (std::size_t h = 0; h < hidden; ++h)
     for (std::size_t i = 0; i < inputs; ++i) w1t(i, h) = w1[h * inputs + i];
-
-  linalg::Matrix& act = scratch.activations;
-  if (act.rows() != m || act.cols() != hidden)
-    act = linalg::Matrix(m, hidden);
-  for (std::size_t r = 0; r < m; ++r) {
-    const auto xrow = x.row(r);
-    auto arow = act.row(r);
-    for (std::size_t h = 0; h < hidden; ++h) arow[h] = b1[h];
-    for (std::size_t i = 0; i < inputs; ++i) {
-      const double xri = xrow[i];
-      const auto wrow = w1t.row(i);
-      for (std::size_t h = 0; h < hidden; ++h) arow[h] += xri * wrow[h];
-    }
-  }
-  linalg::vector_tanh(act.data().data(), m * hidden);
+  linalg::gemm_bias(x, w1t, std::span<const double>(b1, hidden),
+                    scratch.activations);
+  linalg::vector_tanh(scratch.activations.data().data(), x.rows() * hidden);
 }
 
 }  // namespace
@@ -122,14 +108,10 @@ void MlpNetwork::forward_all(const linalg::Matrix& x,
   BatchScratch& scratch = BatchScratch::local();
   compute_activations(inputs_, hidden_, params_.data() + w1_offset(),
                       params_.data() + b1_offset(), x, scratch);
-  const double* w2 = params_.data() + w2_offset();
-  const double b2 = params_[b2_offset()];
-  for (std::size_t r = 0; r < x.rows(); ++r) {
-    const auto arow = scratch.activations.row(r);
-    double o = b2;
-    for (std::size_t h = 0; h < hidden_; ++h) o += w2[h] * arow[h];
-    out[r] = o;
-  }
+  fused_kernels::output_rows(scratch.activations.data().data(), hidden_,
+                             params_.data() + w2_offset(),
+                             params_[b2_offset()], hidden_, x.rows(), nullptr,
+                             out.data(), 1);
 }
 
 double MlpNetwork::loss_and_gradient(const linalg::Matrix& x,

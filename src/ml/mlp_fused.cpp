@@ -12,15 +12,16 @@
 //  - Stacking restarts along the column axis never reorders any single
 //    element's accumulation chain (gemm_batch.hpp), and vector_tanh is
 //    bit-identical to scalar fast_tanh per element at any array length.
-//  - Every scalar statement below (output reduction, error, loss terms,
-//    d_out / d_a, each gradient accumulation) is written with the exact
-//    expression shape of MlpNetwork::loss_and_gradient, so FMA contraction
-//    decisions match, and every accumulator adds its per-row terms in the
-//    reference order (rows ascending).
+//  - The row kernels (mlp_fused_kernels.hpp) write every statement (output
+//    reduction, error, loss terms, d_out / d_a, each gradient
+//    accumulation) lane-wise with the exact expression shape of
+//    MlpNetwork::loss_and_gradient, and every accumulator adds its per-row
+//    terms in the reference order (rows ascending).
 //  - The W1 gradient accumulates into a transposed scratch plane (inputs x
 //    stacked-hidden, contiguous along the wide axis) and is transposed out
 //    once per call — a pure permutation of where each independently
 //    accumulated element is stored, with no arithmetic consequence.
+#include <algorithm>
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
@@ -32,212 +33,111 @@
 #include "linalg/fast_math.hpp"
 #include "linalg/gemm_batch.hpp"
 #include "ml/mlp.hpp"
+#include "ml/mlp_fused_kernels.hpp"
 #include "ml/scg.hpp"
 #include "obs/metrics.hpp"
 
+// The lane vectors stay inside always_inline helpers and never cross a
+// call boundary, so GCC's psABI notes about passing them do not apply.
+#pragma GCC diagnostic ignored "-Wpsabi"
+
 namespace coloc::ml {
 
-namespace {
-
-// Function multi-versioning for the two hot row sweeps, same pattern as
-// vector_tanh: the loader picks the widest clone the CPU supports. The TU
-// is built with -ffp-contract=off (see ml/CMakeLists.txt) so no clone
-// contracts mul+add into FMA — each variant differs from the baseline
-// build only in lane count, never in rounding.
+// Function multi-versioning, same pattern as vector_tanh: the loader picks
+// the widest clone the CPU supports. The TU is built with
+// -ffp-contract=off (see ml/CMakeLists.txt) so no clone contracts mul+add
+// into FMA — each variant differs from the baseline build only in lane
+// count, never in rounding. The kernel bodies are in mlp_fused_kernels.hpp.
 #if defined(__x86_64__) && defined(__ELF__) && defined(__GNUC__) && \
     !defined(__clang__)
 #define COLOC_MLP_FUSED_CLONES \
   __attribute__((target_clones("arch=haswell", "arch=x86-64-v4", "default")))
-#define COLOC_MLP_FUSED_INLINE __attribute__((always_inline)) inline
 #else
 #define COLOC_MLP_FUSED_CLONES
-#define COLOC_MLP_FUSED_INLINE inline
 #endif
 
-// Output layer + loss terms for every stacked plane: one pass over the
-// cached activations. Statement shapes mirror MlpNetwork::loss_and_gradient
-// exactly (see the bit-identity argument at the top of this file).
+namespace fused_kernels {
+
 COLOC_MLP_FUSED_CLONES
-void forward_output_sweep(const double* act, const double* w2s,
-                          const double* b2s, const double* z, double* errs,
-                          double* loss, std::size_t m, std::size_t planes,
-                          std::size_t hidden) {
-  const std::size_t wide = planes * hidden;
-  for (std::size_t r = 0; r < m; ++r) {
-    const double* arow = act + r * wide;
-    double* erow = errs + r * planes;
-    const double zr = z[r];
-    for (std::size_t a = 0; a < planes; ++a) {
-      const double* w2a = w2s + a * hidden;
-      const double* aa = arow + a * hidden;
-      double out = b2s[a];
-      for (std::size_t h = 0; h < hidden; ++h) out += w2a[h] * aa[h];
-      const double err = out - zr;
-      erow[a] = err;
-      loss[a] += 0.5 * err * err;
-    }
-  }
-}
-
-// Full backward row sweep over the stacked planes. fwd_slot maps each
-// backward slot to its column block in the cached forward planes (the
-// backward subset may skip restarts whose trial step was rejected).
-COLOC_MLP_FUSED_CLONES
-void backward_sweep(const double* act, const double* errs, const double* x,
-                    const double* w2s, const std::size_t* fwd_slot,
-                    double* g_b2, double* d_out_buf, double* g_w2,
-                    double* g_b1, double* da, double* gw1t, std::size_t m,
-                    std::size_t planes, std::size_t hidden,
-                    std::size_t fwd_planes, std::size_t inputs,
-                    double inv_m) {
-  const std::size_t fwd_wide = fwd_planes * hidden;
-  const std::size_t wide = planes * hidden;
-  for (std::size_t r = 0; r < m; ++r) {
-    const double* arow = act + r * fwd_wide;
-    const double* erow = errs + r * fwd_planes;
-    const double* xrow = x + r * inputs;
-    for (std::size_t b = 0; b < planes; ++b) {
-      const double d_out = erow[fwd_slot[b]] * inv_m;
-      d_out_buf[b] = d_out;
-      g_b2[b] += d_out;
-    }
-    for (std::size_t b = 0; b < planes; ++b) {
-      const double d_out = d_out_buf[b];
-      const double* aa = arow + fwd_slot[b] * hidden;
-      const double* w2a = w2s + fwd_slot[b] * hidden;
-      double* gw2 = g_w2 + b * hidden;
-      double* gb1 = g_b1 + b * hidden;
-      double* dab = da + b * hidden;
-      for (std::size_t h = 0; h < hidden; ++h) {
-        gw2[h] += d_out * aa[h];
-        const double d_a = d_out * w2a[h] * (1.0 - aa[h] * aa[h]);
-        gb1[h] += d_a;
-        dab[h] = d_a;
-      }
-    }
-    for (std::size_t i = 0; i < inputs; ++i) {
-      const double xri = xrow[i];
-      double* grow = gw1t + i * wide;
-      for (std::size_t c = 0; c < wide; ++c) grow[c] += da[c] * xri;
-    }
-  }
-}
-
-// Two-pass backward for small working sets: pass 1 is the same per-row
-// sweep as backward_sweep minus the W1 accumulation, storing d_a for every
-// row; pass 2 rebuilds the W1 gradient with each 8-column chunk of every
-// input row held in registers across the whole row loop, eliminating the
-// per-row load/store traffic on gw1t (~2x the arithmetic in memory ops at
-// planes=1). Each gw1t element still adds its per-row terms in rows-
-// ascending order — a register accumulator replays the identical chain —
-// so the split is bit-identical to the one-pass sweep.
-COLOC_MLP_FUSED_CLONES
-void backward_row_sweep(const double* act, const double* errs,
-                        const double* w2s, const std::size_t* fwd_slot,
-                        double* g_b2, double* d_out_buf, double* g_w2,
-                        double* g_b1, double* da_all, std::size_t m,
-                        std::size_t planes, std::size_t hidden,
-                        std::size_t fwd_planes, double inv_m) {
-  const std::size_t fwd_wide = fwd_planes * hidden;
-  const std::size_t wide = planes * hidden;
-  for (std::size_t r = 0; r < m; ++r) {
-    const double* arow = act + r * fwd_wide;
-    const double* erow = errs + r * fwd_planes;
-    double* da = da_all + r * wide;
-    for (std::size_t b = 0; b < planes; ++b) {
-      const double d_out = erow[fwd_slot[b]] * inv_m;
-      d_out_buf[b] = d_out;
-      g_b2[b] += d_out;
-    }
-    for (std::size_t b = 0; b < planes; ++b) {
-      const double d_out = d_out_buf[b];
-      const double* aa = arow + fwd_slot[b] * hidden;
-      const double* w2a = w2s + fwd_slot[b] * hidden;
-      double* gw2 = g_w2 + b * hidden;
-      double* gb1 = g_b1 + b * hidden;
-      double* dab = da + b * hidden;
-      for (std::size_t h = 0; h < hidden; ++h) {
-        gw2[h] += d_out * aa[h];
-        const double d_a = d_out * w2a[h] * (1.0 - aa[h] * aa[h]);
-        gb1[h] += d_a;
-        dab[h] = d_a;
-      }
-    }
-  }
-}
-
-template <int INNER, int W>
-COLOC_MLP_FUSED_INLINE void gw1t_chunk(const double* x, const double* da_all,
-                                       double* gw1t, std::size_t m,
-                                       std::size_t wide, std::size_t c0) {
-  double acc[INNER][W];
-  for (int i = 0; i < INNER; ++i)
-    for (int k = 0; k < W; ++k) acc[i][k] = 0.0;
-  for (std::size_t r = 0; r < m; ++r) {
-    const double* xrow = x + r * INNER;
-    const double* dac = da_all + r * wide + c0;
-#pragma GCC unroll 8
-    for (int i = 0; i < INNER; ++i) {
-      const double xi = xrow[i];
-      for (int k = 0; k < W; ++k) acc[i][k] += dac[k] * xi;
-    }
-  }
-  for (int i = 0; i < INNER; ++i) {
-    double* grow = gw1t + static_cast<std::size_t>(i) * wide + c0;
-    for (int k = 0; k < W; ++k) grow[k] += acc[i][k];
-  }
-}
-
-template <int INNER>
-COLOC_MLP_FUSED_INLINE void gw1t_rows(const double* x, const double* da_all,
-                                      double* gw1t, std::size_t m,
-                                      std::size_t wide) {
-  std::size_t c = 0;
-  for (; c + 8 <= wide; c += 8) {
-    gw1t_chunk<INNER, 8>(x, da_all, gw1t, m, wide, c);
-  }
-  if (c + 4 <= wide) {
-    gw1t_chunk<INNER, 4>(x, da_all, gw1t, m, wide, c);
-    c += 4;
-  }
-  for (; c < wide; ++c) gw1t_chunk<INNER, 1>(x, da_all, gw1t, m, wide, c);
+double output_rows(const double* act, std::size_t act_stride,
+                   const double* w2, double b2, std::size_t hidden,
+                   std::size_t m, const double* z, double* out,
+                   std::size_t out_stride) {
+  return output_rows_impl(act, act_stride, w2, b2, hidden, m, z, out,
+                          out_stride);
 }
 
 COLOC_MLP_FUSED_CLONES
-void backward_gw1t_blocked(const double* x, const double* da_all,
-                           double* gw1t, std::size_t m, std::size_t inputs,
-                           std::size_t wide) {
-  switch (inputs) {
-    case 1: gw1t_rows<1>(x, da_all, gw1t, m, wide); return;
-    case 2: gw1t_rows<2>(x, da_all, gw1t, m, wide); return;
-    case 3: gw1t_rows<3>(x, da_all, gw1t, m, wide); return;
-    case 4: gw1t_rows<4>(x, da_all, gw1t, m, wide); return;
-    case 5: gw1t_rows<5>(x, da_all, gw1t, m, wide); return;
-    case 6: gw1t_rows<6>(x, da_all, gw1t, m, wide); return;
-    case 7: gw1t_rows<7>(x, da_all, gw1t, m, wide); return;
-    case 8: gw1t_rows<8>(x, da_all, gw1t, m, wide); return;
-    default: return;
-  }
+void backward_rows(const double* act, std::size_t act_stride,
+                   const double* err, std::size_t err_stride,
+                   const double* w2, std::size_t hidden, std::size_t m,
+                   double inv_m, double* g_w2, double* g_b1, double* g_b2,
+                   double* da, std::size_t da_stride) {
+  backward_rows_impl(act, act_stride, err, err_stride, w2, hidden, m, inv_m,
+                     g_w2, g_b1, g_b2, da, da_stride);
 }
 
-/// The blocked backward stages d_a for every row, so it only pays off
-/// while that buffer stays cache-resident; past ~1.25 MB the extra
-/// traffic loses to the one-pass sweep (measured 0.77x at 16 planes).
-constexpr std::size_t kBlockedBackwardLimit = 160'000;  // m * wide elements
+COLOC_MLP_FUSED_CLONES
+void gw1t_rows(const double* x, std::size_t inputs, const double* da,
+               std::size_t wide, std::size_t m, double* gw1t) {
+  gw1t_rows_impl(x, inputs, da, wide, m, gw1t);
+}
 
+}  // namespace fused_kernels
+
+namespace {
+
+// Per-fit training timers, each observed once per fit_fused call.
+// train_gemm_seconds is the whole fused forward + backward (it predates the
+// per-phase split and keeps its name for the obs_report gate); the phase
+// histograms partition it: gather + GEMM, tanh, output layer + loss, and
+// the backward sweep with its W1 rebuild and gradient scatter.
 struct FusedMetrics {
+  obs::Histogram& kernel_seconds;
   obs::Histogram& gemm_seconds;
+  obs::Histogram& tanh_seconds;
+  obs::Histogram& output_seconds;
+  obs::Histogram& backward_seconds;
 
   static FusedMetrics& get() {
     auto& registry = obs::Registry::global();
     static FusedMetrics metrics{
         registry.histogram("train_gemm_seconds"),
+        registry.histogram("train_phase_gemm_seconds"),
+        registry.histogram("train_phase_tanh_seconds"),
+        registry.histogram("train_phase_output_seconds"),
+        registry.histogram("train_phase_backward_seconds"),
     };
     return metrics;
   }
 };
 
 using Clock = std::chrono::steady_clock;
+
+/// Staged d_a elements per backward tile: 32 KB, so the W1 rebuild reads
+/// the rows the sweep just wrote from L1. Measured 1.6-2.0x over the old
+/// one-pass sweep at 16 planes x 2033 rows, and 3.3-5.6x at one plane.
+constexpr std::size_t kBackwardTile = 4096;
+
+double seconds_between(Clock::time_point a, Clock::time_point b) {
+  return std::chrono::duration<double>(b - a).count();
+}
+
+struct PhaseSeconds {
+  double gemm = 0.0;
+  double tanh = 0.0;
+  double output = 0.0;
+  double backward = 0.0;
+
+  void observe() const {
+    FusedMetrics& metrics = FusedMetrics::get();
+    metrics.kernel_seconds.observe(gemm + tanh + output + backward);
+    metrics.gemm_seconds.observe(gemm);
+    metrics.tanh_seconds.observe(tanh);
+    metrics.output_seconds.observe(output);
+    metrics.backward_seconds.observe(backward);
+  }
+};
 
 // Batched forward/backward kernels over the stacked restart planes, plus
 // the forward cache (tanh activations and per-row errors) that backward()
@@ -290,18 +190,22 @@ class FusedEvaluator {
     }
 
     linalg::gemm_bias(x_, w1t_, b1_s_, act_);
+    const auto t1 = Clock::now();
     linalg::vector_tanh(act_.data().data(), m * wide);
+    const auto t2 = Clock::now();
 
+    // Output layer per plane; the errors land interleaved (m x planes) so
+    // backward() reads a plane's error column with stride planes.
     errs_.resize(m, planes);
-    loss_.assign(planes, 0.0);
-    forward_output_sweep(act_.data().data(), w2_s_.data(), b2_s_.data(),
-                         z_.data(), errs_.data().data(), loss_.data(), m,
-                         planes, hidden);
-
     const double inv_m = 1.0 / static_cast<double>(m);
     for (std::size_t a = 0; a < planes; ++a) {
       const std::size_t j = active[a];
-      double loss = loss_[a] * inv_m;
+      double loss =
+          fused_kernels::output_rows(
+              act_.data().data() + a * hidden, wide,
+              w2_s_.data() + a * hidden, b2_s_[a], hidden, m, z_.data(),
+              errs_.data().data() + a, planes) *
+          inv_m;
       if (decay_ > 0.0) {
         const double* pj = points.data() + j * n_;
         double wnorm = 0.0;
@@ -311,8 +215,10 @@ class FusedEvaluator {
       values[j] = loss;
     }
     cached_points_ = &points;
-    kernel_seconds_ +=
-        std::chrono::duration<double>(Clock::now() - t0).count();
+    const auto t3 = Clock::now();
+    phases_.gemm += seconds_between(t0, t1);
+    phases_.tanh += seconds_between(t1, t2);
+    phases_.output += seconds_between(t2, t3);
   }
 
   void backward(std::span<const std::size_t> active,
@@ -322,37 +228,37 @@ class FusedEvaluator {
     const std::size_t hidden = hidden_;
     const std::size_t planes = active.size();
     const std::size_t wide = planes * hidden;
+    const std::size_t fwd_planes = errs_.cols();
     const double inv_m = 1.0 / static_cast<double>(m);
 
-    // Stacked accumulators for the backward subset. fwd_slot_ maps each
-    // backward slot to its column block in the cached forward planes (the
-    // subset may skip restarts whose trial step was rejected).
-    fwd_slot_.resize(planes);
-    for (std::size_t b = 0; b < planes; ++b) fwd_slot_[b] = slot_of_[active[b]];
+    // Two passes per tile of rows. The row sweep runs plane by plane,
+    // reading each backward plane's forward slot (the subset may skip
+    // restarts whose trial step was rejected) and staging the tile's d_a;
+    // the W1 rebuild then accumulates gw1t (inputs x stacked hidden) from
+    // the staged rows. Both kernels add onto their accumulators, so each
+    // element's chain runs over all rows in ascending order regardless of
+    // the tiling; the tile only keeps the staged d_a cache-resident.
     g_b2_.assign(planes, 0.0);
-    d_out_.resize(planes);
     g_w2_.assign(wide, 0.0);
     g_b1_.assign(wide, 0.0);
     gw1t_.resize(inputs_, wide);
     std::fill(gw1t_.data().begin(), gw1t_.data().end(), 0.0);
-
-    const bool blocked =
-        inputs_ >= 1 && inputs_ <= 8 && m * wide <= kBlockedBackwardLimit;
-    if (blocked) {
-      da_.resize(m * wide);
-      backward_row_sweep(act_.data().data(), errs_.data().data(),
-                         w2_s_.data(), fwd_slot_.data(), g_b2_.data(),
-                         d_out_.data(), g_w2_.data(), g_b1_.data(),
-                         da_.data(), m, planes, hidden, errs_.cols(), inv_m);
-      backward_gw1t_blocked(x_.data().data(), da_.data(),
-                            gw1t_.data().data(), m, inputs_, wide);
-    } else {
-      da_.resize(wide);
-      backward_sweep(act_.data().data(), errs_.data().data(),
-                     x_.data().data(), w2_s_.data(), fwd_slot_.data(),
-                     g_b2_.data(), d_out_.data(), g_w2_.data(), g_b1_.data(),
-                     da_.data(), gw1t_.data().data(), m, planes, hidden,
-                     errs_.cols(), inputs_, inv_m);
+    const std::size_t tile = std::max<std::size_t>(8, kBackwardTile / wide);
+    da_.resize(std::min(m, tile) * wide);
+    const std::size_t fwd_wide = fwd_planes * hidden;
+    for (std::size_t r0 = 0; r0 < m; r0 += tile) {
+      const std::size_t rows = std::min(tile, m - r0);
+      for (std::size_t b = 0; b < planes; ++b) {
+        const std::size_t slot = slot_of_[active[b]];
+        fused_kernels::backward_rows(
+            act_.data().data() + r0 * fwd_wide + slot * hidden, fwd_wide,
+            errs_.data().data() + r0 * fwd_planes + slot, fwd_planes,
+            w2_s_.data() + slot * hidden, hidden, rows, inv_m,
+            g_w2_.data() + b * hidden, g_b1_.data() + b * hidden, &g_b2_[b],
+            da_.data() + b * hidden, wide);
+      }
+      fused_kernels::gw1t_rows(x_.data().data() + r0 * inputs_, inputs_,
+                               da_.data(), wide, rows, gw1t_.data().data());
     }
 
     // Scatter the stacked accumulators back into each restart's packed
@@ -374,11 +280,10 @@ class FusedEvaluator {
         for (std::size_t i = 0; i < n_; ++i) gj[i] += decay_ * pj[i];
       }
     }
-    kernel_seconds_ +=
-        std::chrono::duration<double>(Clock::now() - t0).count();
+    phases_.backward += seconds_between(t0, Clock::now());
   }
 
-  double kernel_seconds() const { return kernel_seconds_; }
+  const PhaseSeconds& phase_seconds() const { return phases_; }
 
  private:
   const linalg::Matrix& x_;
@@ -401,18 +306,15 @@ class FusedEvaluator {
   std::vector<double> b2_s_;
   linalg::Matrix act_;
   linalg::Matrix errs_;
-  std::vector<double> loss_;
 
   // Backward scratch.
-  std::vector<std::size_t> fwd_slot_;
   std::vector<double> g_b2_;
-  std::vector<double> d_out_;
   std::vector<double> g_w2_;
   std::vector<double> g_b1_;
   std::vector<double> da_;
   linalg::Matrix gw1t_;
 
-  double kernel_seconds_ = 0.0;
+  PhaseSeconds phases_;
 };
 
 }  // namespace
@@ -478,7 +380,7 @@ MlpRegressor MlpRegressor::fit_fused(const linalg::Matrix& x,
   scg_options.gradient_tolerance = options.gradient_tolerance;
   const std::vector<ScgResult> results =
       scg_minimize_batch(objective, initial, scg_options);
-  FusedMetrics::get().gemm_seconds.observe(evaluator.kernel_seconds());
+  evaluator.phase_seconds().observe();
 
   // Final per-restart loss via the scalar loss() — the exact evaluation
   // the sequential path scores attempts with — then the strict-< scan:

@@ -423,6 +423,31 @@ std::string render_report(const BundleData& bundle) {
       os << "  (mean fused-kernel seconds per fit: "
          << format_seconds(gemm_sum / gemm_count) << ")\n";
     }
+    // The phases partition train_gemm_seconds; print each one's share and
+    // whatever the phase timers do not cover.
+    if (gemm_sum > 0.0) {
+      const auto share = [gemm_sum](double v) {
+        char buf[32];
+        std::snprintf(buf, sizeof(buf), "%.1f%%", 100.0 * v / gemm_sum);
+        return std::string(buf);
+      };
+      double covered = 0.0;
+      bool any = false;
+      for (const char* phase : {"gemm", "tanh", "output", "backward"}) {
+        const double v = m.training_value(std::string("train_phase_") +
+                                          phase + "_seconds_sum");
+        if (v < 0.0) continue;
+        if (!any) os << "  fused-kernel phases:\n";
+        any = true;
+        covered += v;
+        os << "    " << phase << ": " << format_seconds(v) << " ("
+           << share(v) << ")\n";
+      }
+      if (any) {
+        os << "    unattributed: " << format_seconds(gemm_sum - covered)
+           << " (" << share(gemm_sum - covered) << ")\n";
+      }
+    }
   }
 
   os << "\n== task attribution (histograms) ==\n";

@@ -157,6 +157,9 @@ struct DiffThresholds {
   /// Regression when the manifest's train_gemm_seconds_sum grows by at
   /// least this percent — the fused-trainer throughput gate (catches the
   /// fused path silently falling back as well as kernel regressions).
+  /// Despite its name, train_gemm_seconds times the whole fused forward
+  /// and backward (gather, GEMM, tanh, output layer, backward sweep); the
+  /// train_phase_*_seconds figures split it.
   double train_gemm_sum_pct = 25.0;
 };
 

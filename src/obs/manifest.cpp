@@ -108,6 +108,24 @@ bool is_training_counter(const std::string& name) {
   return false;
 }
 
+/// Fused-trainer timers surfaced as _sum/_count pairs: the whole fused
+/// forward + backward (train_gemm_seconds, the gated figure) and the
+/// phases that partition it.
+constexpr const char* kTrainingHistograms[] = {
+    "train_gemm_seconds",
+    "train_phase_gemm_seconds",
+    "train_phase_tanh_seconds",
+    "train_phase_output_seconds",
+    "train_phase_backward_seconds",
+};
+
+bool is_training_histogram(const std::string& name) {
+  for (const char* candidate : kTrainingHistograms) {
+    if (name == candidate) return true;
+  }
+  return false;
+}
+
 bool is_recovery_counter(const std::string& name) {
   for (const char* candidate : kRecoveryCounters) {
     if (name == candidate) return true;
@@ -200,7 +218,7 @@ Manifest Manifest::collect(const ManifestInfo& info,
       m.training.push_back(TrainingRecord{
           rendered_counter_name(s), static_cast<double>(s.counter_value)});
     } else if (s.kind == MetricKind::kHistogram &&
-               s.name == "train_gemm_seconds" && s.histogram_count > 0) {
+               is_training_histogram(s.name) && s.histogram_count > 0) {
       m.training.push_back(
           TrainingRecord{s.name + "_sum", s.histogram_sum});
       m.training.push_back(TrainingRecord{

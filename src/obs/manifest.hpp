@@ -58,9 +58,11 @@ struct RecoveryRecord {
 
 /// One training-attribution sample harvested into the manifest: the fused
 /// SCG counters (runs, epochs, fused restarts), the design-memo hit/miss
-/// counters, and the train_gemm_seconds histogram's sum/count. Kept in the
-/// manifest so obs_report can attribute (and gate) training throughput
-/// without re-parsing metrics.json.
+/// counters, and the sum/count of the fused-trainer timers —
+/// train_gemm_seconds (the whole fused forward + backward, despite its
+/// name) and the train_phase_{gemm,tanh,output,backward}_seconds phases
+/// that partition it. Kept in the manifest so obs_report can attribute
+/// (and gate) training throughput without re-parsing metrics.json.
 struct TrainingRecord {
   std::string metric;  // name, or histogram name + "_sum"/"_count"
   double value = 0.0;

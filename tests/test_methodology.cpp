@@ -1,6 +1,10 @@
 #include "core/methodology.hpp"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
+
+#include <cstdio>
+#include <string>
 
 #include "common/error.hpp"
 #include "test_helpers.hpp"
@@ -173,8 +177,9 @@ TEST_F(MethodologyTest, PredictorRoundTripsThroughStream) {
 }
 
 TEST_F(MethodologyTest, LinearPredictorRoundTripsThroughFile) {
-  const std::string path =
-      ::testing::TempDir() + "/coloc_predictor_test.txt";
+  // Per-process name: concurrent test processes share TempDir().
+  const std::string path = ::testing::TempDir() + "/coloc_predictor_test." +
+                           std::to_string(::getpid()) + ".txt";
   const ColocationPredictor original = ColocationPredictor::train(
       campaign_->dataset, {ModelTechnique::kLinear, FeatureSet::kC});
   original.save_file(path);

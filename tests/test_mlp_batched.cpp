@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -152,6 +153,45 @@ TEST(MlpBatchedTest, FusedRestartsBitIdenticalToSequential) {
     ASSERT_EQ(pa.size(), pb.size());
     for (std::size_t i = 0; i < pa.size(); ++i)
       ASSERT_EQ(pa[i], pb[i]) << "parameter " << i;
+  }
+}
+
+TEST(MlpBatchedTest, FusedMatchesSequentialAtZooWidths) {
+  // The zoo's real shapes: 1-8 inputs with the hidden width the model zoo
+  // gives that many features (10 + (features - 1) * 10 / 7, i.e. 10-20
+  // units — ragged against every lane width), on row counts that are not
+  // multiples of 8, single and multi-restart.
+  Rng rng(117);
+  for (const std::size_t rows : {61u, 203u}) {
+    for (std::size_t inputs = 1; inputs <= 8; ++inputs) {
+      const linalg::Matrix x = random_matrix(rows, inputs, rng);
+      std::vector<double> y(rows);
+      for (std::size_t r = 0; r < rows; ++r)
+        y[r] = std::sin(x(r, 0)) + 0.3 * x(r, inputs - 1) * x(r, 0);
+      for (const std::size_t restarts : {1u, 3u}) {
+        SCOPED_TRACE(std::to_string(rows) + " rows, " +
+                     std::to_string(inputs) + " inputs, " +
+                     std::to_string(restarts) + " restarts");
+        MlpOptions sequential;
+        sequential.hidden_units = 10 + (inputs - 1) * 10 / 7;
+        sequential.max_iterations = 60;
+        sequential.restarts = restarts;
+        sequential.fused_restarts = false;
+        sequential.parallel_restarts = false;
+        MlpOptions fused = sequential;
+        fused.fused_restarts = true;
+
+        const MlpRegressor a = MlpRegressor::fit(x, y, sequential);
+        const MlpRegressor b = MlpRegressor::fit_fused(x, y, fused);
+        ASSERT_EQ(a.training_loss(), b.training_loss());
+        ASSERT_EQ(a.iterations_used(), b.iterations_used());
+        const auto pa = a.network().parameters();
+        const auto pb = b.network().parameters();
+        ASSERT_EQ(pa.size(), pb.size());
+        for (std::size_t i = 0; i < pa.size(); ++i)
+          ASSERT_EQ(pa[i], pb[i]) << "parameter " << i;
+      }
+    }
   }
 }
 

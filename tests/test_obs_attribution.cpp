@@ -268,6 +268,37 @@ TEST(Manifest, TrainingSectionRoundTripsThroughJsonFile) {
   }
 }
 
+TEST(Manifest, TrainingPhaseTimersLandInManifestAndReport) {
+  obs::Registry registry;
+  registry.histogram("train_gemm_seconds").observe(1.0);
+  registry.histogram("train_phase_gemm_seconds").observe(0.25);
+  registry.histogram("train_phase_tanh_seconds").observe(0.375);
+  registry.histogram("train_phase_output_seconds").observe(0.125);
+  registry.histogram("train_phase_backward_seconds").observe(0.125);
+
+  obs::ManifestInfo info;
+  info.program = "test_bench";
+  obs::BundleData bundle;
+  bundle.dir = "synthetic";
+  bundle.manifest = obs::Manifest::collect(info, registry.snapshot(), 1.0);
+  const obs::Manifest& m = bundle.manifest;
+  EXPECT_DOUBLE_EQ(m.training_value("train_phase_gemm_seconds_sum"), 0.25);
+  EXPECT_DOUBLE_EQ(m.training_value("train_phase_tanh_seconds_count"), 1.0);
+  EXPECT_DOUBLE_EQ(m.training_value("train_phase_output_seconds_sum"),
+                   0.125);
+  EXPECT_DOUBLE_EQ(m.training_value("train_phase_backward_seconds_sum"),
+                   0.125);
+
+  const std::string report = obs::render_report(bundle);
+  EXPECT_NE(report.find("fused-kernel phases:"), std::string::npos);
+  EXPECT_NE(report.find("tanh: 375.000 ms (37.5%)"), std::string::npos)
+      << report;
+  // The four phases cover 0.875 s of the 1 s total; the rest is shown.
+  EXPECT_NE(report.find("unattributed: 125.000 ms (12.5%)"),
+            std::string::npos)
+      << report;
+}
+
 obs::BundleData synthetic_bundle(double campaign_wall_s,
                                  double queue_wait_bound_s) {
   obs::BundleData b;

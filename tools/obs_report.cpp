@@ -19,8 +19,9 @@
 //                            (default 25; gated only when both bundles
 //                            carry placement_predict_seconds)
 //   --train-gemm-pct=N       fused-trainer train_gemm_seconds_sum threshold
-//                            (default 25; gated only when the baseline
-//                            manifest carries a training section)
+//                            (the whole fused forward + backward; default
+//                            25; gated only when the baseline manifest
+//                            carries a training section)
 #include <cstdio>
 #include <exception>
 #include <string>
