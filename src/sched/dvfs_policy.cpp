@@ -1,5 +1,6 @@
 #include "sched/dvfs_policy.hpp"
 
+#include <cmath>
 #include <limits>
 
 #include "common/error.hpp"
@@ -14,6 +15,11 @@ double shared_energy(const sim::MachineConfig& machine, std::size_t pstate,
   return energy_j(machine, pstate, active_cores, duration_s) /
          static_cast<double>(active_cores);
 }
+
+/// A model can extrapolate to a non-positive or NaN time; such a
+/// prediction says nothing about the state, so it can neither meet a
+/// deadline nor price one.
+bool usable_time(double t) { return std::isfinite(t) && t > 0.0; }
 
 }  // namespace
 
@@ -31,7 +37,7 @@ DvfsDecision choose_pstate_for_deadline(
   double best_energy = std::numeric_limits<double>::infinity();
   for (std::size_t p = 0; p < machine.pstates.size(); ++p) {
     const double t = predictor.predict_time(target, coapps, p);
-    if (t > deadline_s) continue;
+    if (!usable_time(t) || t > deadline_s) continue;
     const double e = shared_energy(machine, p, active, t);
     if (e < best_energy) {
       best_energy = e;
@@ -45,7 +51,9 @@ DvfsDecision choose_pstate_for_deadline(
     best.pstate_index = 0;
     best.predicted_time_s = predictor.predict_time(target, coapps, 0);
     best.predicted_energy_j =
-        shared_energy(machine, 0, active, best.predicted_time_s);
+        usable_time(best.predicted_time_s)
+            ? shared_energy(machine, 0, active, best.predicted_time_s)
+            : std::numeric_limits<double>::quiet_NaN();
   }
   return best;
 }

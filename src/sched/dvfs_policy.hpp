@@ -22,12 +22,15 @@ struct DvfsDecision {
   std::size_t pstate_index = 0;  // chosen state (P0 when infeasible)
   double predicted_time_s = 0.0;
   double predicted_energy_j = 0.0;  // target's share of package energy
+                                    // (NaN if P0's time is unusable)
 };
 
 /// Chooses the most efficient P-state meeting `deadline_s` for `target`
 /// co-located with `coapps` (their baselines), using the trained model for
 /// time and the DVFS power model for energy. When no state meets the
-/// deadline, returns infeasible with the P0 prediction filled in.
+/// deadline, returns infeasible with the P0 prediction filled in. A
+/// non-finite or non-positive predicted time makes its state infeasible;
+/// when P0's is one, the fallback reports a NaN energy.
 DvfsDecision choose_pstate_for_deadline(
     const sim::MachineConfig& machine,
     const core::ColocationPredictor& predictor,

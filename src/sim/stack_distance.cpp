@@ -1,12 +1,13 @@
 #include "sim/stack_distance.hpp"
 
 #include <algorithm>
-#include <bit>
+#include <iterator>
 #include <unordered_map>
 #include <unordered_set>
 
 #include "common/error.hpp"
 #include "sim/kernel_clones.hpp"
+#include "sim/stack_distance_kernels.hpp"
 
 namespace coloc::sim {
 
@@ -31,34 +32,23 @@ std::int64_t FenwickTree::range_sum(std::size_t lo, std::size_t hi) const {
 }
 
 namespace {
-// Bitmap layout: 512-bit (8-word) blocks, 128 blocks (65536 bits) per
-// superblock. A prefix query sums whole superblocks, then whole blocks
-// inside the last superblock, then whole words inside the last block —
-// three contiguous scans the compiler vectorizes (the widest clone runs
-// them 32/16 lanes at a time).
-constexpr std::size_t kWordsPerBlock = 8;
-constexpr std::size_t kBlocksPerSuper = 128;
+namespace sdk = stack_distance_kernels;
 
-COLOC_SIM_KERNEL_CLONES
-std::uint64_t sum_u32(const std::uint32_t* v, std::size_t n) {
-  std::uint64_t total = 0;
-  for (std::size_t i = 0; i < n; ++i) total += v[i];
-  return total;
-}
+/// References the step looks ahead: it hashes reference k + kAhead and
+/// prefetches that reference's map slot, and applies reference k's
+/// histogram increment at reference k + kAhead.
+constexpr std::size_t kAhead = 8;
 
-COLOC_SIM_KERNEL_CLONES
-std::uint64_t sum_u16(const std::uint16_t* v, std::size_t n) {
-  std::uint64_t total = 0;
-  for (std::size_t i = 0; i < n; ++i) total += v[i];
-  return total;
-}
-
-COLOC_SIM_KERNEL_CLONES
-std::uint64_t popcount_words(const std::uint64_t* v, std::size_t n) {
-  std::uint64_t total = 0;
-  for (std::size_t i = 0; i < n; ++i)
-    total += static_cast<std::uint64_t>(std::popcount(v[i]));
-  return total;
+/// Murmur3 finalizer: full-avalanche mixing so linear probing stays short
+/// even on the strided/sequential addresses traces are full of.
+std::uint64_t mix_line(LineAddress line) {
+  std::uint64_t h = line;
+  h ^= h >> 33;
+  h *= 0xff51afd7ed558ccdULL;
+  h ^= h >> 33;
+  h *= 0xc4ceb9fe1a85ec53ULL;
+  h ^= h >> 33;
+  return h;
 }
 
 std::size_t next_pow2(std::size_t n) {
@@ -91,38 +81,17 @@ void StackDistanceProfiler::set_max_tracked_distance(std::size_t d) {
   max_tracked_ = d;
 }
 
-std::uint64_t StackDistanceProfiler::prefix_popcount(std::size_t index) const {
-  const std::size_t word = index >> 6;
-  const std::size_t block = index >> 9;
-  const std::size_t super = index >> 16;
-  std::uint64_t total = sum_u32(super_count_.data(), super);
-  total += sum_u16(block_count_.data() + super * kBlocksPerSuper,
-                   block - super * kBlocksPerSuper);
-  total += popcount_words(bits_.data() + block * kWordsPerBlock,
-                          word - block * kWordsPerBlock);
-  const std::uint64_t mask = ~std::uint64_t{0} >> (63 - (index & 63));
-  return total + static_cast<std::uint64_t>(std::popcount(bits_[word] & mask));
-}
-
-std::uint32_t* StackDistanceProfiler::find_or_insert(LineAddress line) {
-  if ((map_used_ + 1) * 10 >= (map_mask_ + 1) * 7) grow_map();
-  // Murmur3 finalizer: full-avalanche mixing so linear probing stays short
-  // even on the strided/sequential addresses traces are full of.
-  std::uint64_t h = line;
-  h ^= h >> 33;
-  h *= 0xff51afd7ed558ccdULL;
-  h ^= h >> 33;
-  h *= 0xc4ceb9fe1a85ec53ULL;
-  h ^= h >> 33;
-  std::size_t i = static_cast<std::size_t>(h) & map_mask_;
-  while (map_keys_[i] != kEmptySlot) {
-    if (map_keys_[i] == line) return &map_pos_[i];
-    i = (i + 1) & map_mask_;
+std::uint32_t* StackDistanceProfiler::insert(LineAddress line,
+                                             std::uint64_t hash,
+                                             std::size_t slot) {
+  if ((map_used_ + 1) * 10 >= (map_mask_ + 1) * 7) {
+    grow_map();
+    slot = static_cast<std::size_t>(hash) & map_mask_;
+    while (map_keys_[slot] != kEmptySlot) slot = (slot + 1) & map_mask_;
   }
-  map_keys_[i] = line;
-  map_pos_[i] = kNoPosition;
+  map_keys_[slot] = line;
   ++map_used_;
-  return &map_pos_[i];
+  return &map_pos_[slot];
 }
 
 void StackDistanceProfiler::grow_map() {
@@ -132,13 +101,7 @@ void StackDistanceProfiler::grow_map() {
   const std::size_t new_mask = new_slots - 1;
   for (std::size_t i = 0; i <= map_mask_; ++i) {
     if (map_keys_[i] == kEmptySlot) continue;
-    std::uint64_t h = map_keys_[i];
-    h ^= h >> 33;
-    h *= 0xff51afd7ed558ccdULL;
-    h ^= h >> 33;
-    h *= 0xc4ceb9fe1a85ec53ULL;
-    h ^= h >> 33;
-    std::size_t j = static_cast<std::size_t>(h) & new_mask;
+    std::size_t j = static_cast<std::size_t>(mix_line(map_keys_[i])) & new_mask;
     while (keys[j] != kEmptySlot) j = (j + 1) & new_mask;
     keys[j] = map_keys_[i];
     pos[j] = map_pos_[i];
@@ -148,46 +111,120 @@ void StackDistanceProfiler::grow_map() {
   map_mask_ = new_mask;
 }
 
+COLOC_SIM_KERNEL_CLONES
+std::uint64_t StackDistanceProfiler::record_run(const LineAddress* lines,
+                                                std::size_t n) {
+  // Map pointers and mask are cached and refreshed after an insert, which
+  // may rehash.
+  const LineAddress* keys = map_keys_.data();
+  std::uint32_t* positions = map_pos_.data();
+  std::size_t mask = map_mask_;
+  // Slot prefetch: the last-access map is a random-access table far larger
+  // than the caches on big traces, so reference k + kAhead's slot is hashed
+  // and prefetched while reference k is processed.
+  std::uint64_t hashes[kAhead];
+  const auto prefetch_slot = [&](std::uint64_t hash) {
+    const std::size_t i = static_cast<std::size_t>(hash) & mask;
+    __builtin_prefetch(keys + i);
+    __builtin_prefetch(positions + i, 1);
+  };
+  for (std::size_t k = 0; k < std::min(n, kAhead); ++k) {
+    hashes[k] = mix_line(lines[k]);
+    prefetch_slot(hashes[k]);
+  }
+  // Deferred histogram increments: reference k's bucket is prefetched and
+  // bumped at reference k + kAhead. Empty ring entries point at `sink`.
+  // Increments commute, so the histogram is exact once the ring drains.
+  std::uint64_t sink = 0;
+  std::uint64_t* pending[kAhead];
+  std::fill(std::begin(pending), std::end(pending), &sink);
+  const auto drain = [&] {
+    for (std::uint64_t*& bucket : pending) {
+      ++*bucket;
+      bucket = &sink;
+    }
+  };
+
+  std::uint64_t* const bits = bits_.data();
+  std::uint16_t* const blocks = block_count_.data();
+  std::uint32_t* const supers = super_count_.data();
+  const std::size_t start = static_cast<std::size_t>(time_);
+  std::uint64_t cold = cold_;
+  std::uint64_t beyond = beyond_;
+  std::uint64_t distance = kColdMiss;
+  for (std::size_t k = 0; k < n; ++k) {
+    const std::size_t ring = k & (kAhead - 1);
+    const std::uint64_t hash = hashes[ring];
+    if (k + kAhead < n) {
+      hashes[ring] = mix_line(lines[k + kAhead]);
+      prefetch_slot(hashes[ring]);
+    }
+    ++*pending[ring];
+    pending[ring] = &sink;
+
+    const std::size_t now = start + k;
+    const LineAddress line = lines[k];
+    std::size_t i = static_cast<std::size_t>(hash) & mask;
+    while (keys[i] != line && keys[i] != kEmptySlot) i = (i + 1) & mask;
+    std::uint32_t* slot = &positions[i];
+    distance = kColdMiss;
+    if (keys[i] == line) {
+      const std::size_t prev = *slot;
+      // Every distinct line seen so far keeps one marker at its latest
+      // access, all strictly below `now`, so the markers inside
+      // (prev, now) are exactly the distinct lines of the reuse window.
+      distance = sdk::window_count(bits, blocks, supers, prev, now);
+      bits[prev >> 6] &= ~(std::uint64_t{1} << (prev & 63));
+      --blocks[prev >> 9];
+      --supers[prev >> 16];
+    } else {
+      slot = insert(line, hash, i);
+      keys = map_keys_.data();
+      positions = map_pos_.data();
+      mask = map_mask_;
+      ++cold;
+    }
+    *slot = static_cast<std::uint32_t>(now);
+    bits[now >> 6] |= std::uint64_t{1} << (now & 63);
+    ++blocks[now >> 9];
+    ++supers[now >> 16];
+
+    if (distance == kColdMiss) continue;
+    if (distance >= max_tracked_) {
+      ++beyond;
+      continue;
+    }
+    if (distance >= histogram_.size()) {
+      drain();  // the pending pointers die with the old buffer
+      histogram_.resize(distance + 1, 0);
+    }
+    std::uint64_t* bucket = histogram_.data() + distance;
+    __builtin_prefetch(bucket, 1);
+    pending[ring] = bucket;
+  }
+  drain();
+  time_ = start + n;
+  cold_ = cold;
+  beyond_ = beyond;
+  return distance;
+}
+
 std::uint64_t StackDistanceProfiler::record(LineAddress line) {
   COLOC_CHECK_MSG(time_ < capacity_, "profiler capacity exceeded");
   COLOC_CHECK_MSG(line != kEmptySlot,
                   "line address ~0 is reserved by the profiler");
-  const std::size_t now = static_cast<std::size_t>(time_);
-
-  std::uint64_t distance = kColdMiss;
-  std::uint32_t* slot = find_or_insert(line);
-  if (*slot != kNoPosition) {
-    const std::size_t prev = *slot;
-    // Every distinct line seen so far keeps one marker at its latest
-    // access, all strictly below `now`. The markers at or below `prev` are
-    // the lines NOT reused inside the window plus this line itself, so the
-    // distinct count inside (prev, now) is cold_ - prefix(prev).
-    distance = cold_ - prefix_popcount(prev);
-    bits_[prev >> 6] &= ~(std::uint64_t{1} << (prev & 63));
-    --block_count_[prev >> 9];
-    --super_count_[prev >> 16];
-  } else {
-    ++cold_;
-  }
-  *slot = static_cast<std::uint32_t>(now);
-  bits_[now >> 6] |= std::uint64_t{1} << (now & 63);
-  ++block_count_[now >> 9];
-  ++super_count_[now >> 16];
-  ++time_;
-
-  if (distance != kColdMiss) {
-    if (distance < max_tracked_) {
-      if (distance >= histogram_.size()) histogram_.resize(distance + 1, 0);
-      ++histogram_[distance];
-    } else {
-      ++beyond_;
-    }
-  }
-  return distance;
+  return record_run(&line, 1);
 }
 
 void StackDistanceProfiler::record_batch(std::span<const LineAddress> lines) {
-  for (LineAddress a : lines) record(a);
+  // The whole batch is checked before any state changes, so a rejected
+  // batch leaves the profiler as it was.
+  COLOC_CHECK_MSG(lines.size() <= capacity_ - time_,
+                  "profiler capacity exceeded");
+  COLOC_CHECK_MSG(
+      std::find(lines.begin(), lines.end(), kEmptySlot) == lines.end(),
+      "line address ~0 is reserved by the profiler");
+  if (!lines.empty()) record_run(lines.data(), lines.size());
 }
 
 StackDistanceProfiler profile_trace(std::span<const LineAddress> trace) {

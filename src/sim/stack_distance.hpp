@@ -10,16 +10,21 @@
 // Implementation: a marker bitmap over reference timestamps. Each distinct
 // line keeps exactly one set bit at its latest access position, so the
 // distance of a reuse at time `now` whose previous access was `prev` is
-//   distinct_lines_seen - popcount(bits[0..prev])
-// (every other line's marker sits strictly below `now`; the markers at or
-// below `prev` are exactly the lines NOT touched inside the reuse window,
-// plus the line itself). A two-level popcount index (u16 per 512-bit
-// block, u32 per 128-block superblock) answers the prefix query with three
-// short contiguous scans instead of the classic Fenwick tree's ~20 random
-// probes into a tree that is 64x larger than the bitmap — the whole
-// structure stays LLC-resident and the scans vectorize. Distances are
-// exact integers, so results are bit-identical to the Fenwick formulation
-// (kept below as FenwickTree for tests and oracle replicas).
+// the number of markers strictly between the two: every line touched
+// inside the window has moved its marker there, and every other marker
+// sits at or below `prev`. A two-level count index (u16 per 512-bit block,
+// u32 per 128-block superblock) lets that window count run upward from
+// `prev` in at most four short contiguous scans (stack_distance_kernels.hpp)
+// whose cost follows the window, not the distance from time 0.
+//
+// The whole per-reference step is one function under
+// COLOC_SIM_KERNEL_CLONES, software-pipelined over a batch: it hashes the
+// reference 8 ahead and prefetches its last-access slot, and it holds each
+// reuse's histogram increment in an 8-entry ring, prefetching the bucket
+// and applying it 8 references later; the ring drains before every call
+// returns. Distances are exact integers and increments commute, so results
+// are bit-identical to the Fenwick formulation (kept below as FenwickTree
+// for tests and oracle replicas).
 #pragma once
 
 #include <cstdint>
@@ -64,6 +69,8 @@ class StackDistanceProfiler {
   std::uint64_t record(LineAddress line);
 
   /// Records a whole chunk; identical to calling record() per element.
+  /// The whole chunk is checked first (capacity, the reserved address ~0),
+  /// so a rejected chunk leaves the profiler unchanged.
   void record_batch(std::span<const LineAddress> lines);
 
   std::uint64_t references() const { return time_; }
@@ -79,11 +86,14 @@ class StackDistanceProfiler {
   void set_max_tracked_distance(std::size_t d);
 
  private:
-  /// Set bits in [0, index], via the superblock/block counts.
-  std::uint64_t prefix_popcount(std::size_t index) const;
-  /// Open-addressing last-access slot for `line`; inserts (with position
-  /// kNoPosition) when absent.
-  std::uint32_t* find_or_insert(LineAddress line);
+  /// The per-reference step over n >= 1 references the caller has
+  /// checked; returns the last one's distance.
+  std::uint64_t record_run(const LineAddress* lines, std::size_t n);
+  /// Inserts absent `line` (whose mixed hash is `hash`) at empty map slot
+  /// `slot`, rehashing first when the map is full; returns the position
+  /// slot, which the caller fills.
+  std::uint32_t* insert(LineAddress line, std::uint64_t hash,
+                        std::size_t slot);
   void grow_map();
 
   static constexpr LineAddress kEmptySlot = ~LineAddress{0};
@@ -113,7 +123,7 @@ StackDistanceProfiler profile_trace(std::span<const LineAddress> trace);
 /// Brute-force stack distance for verification in tests: a hash map of
 /// last-access positions plus a hash-set distinct count over each reuse
 /// window — O(n * w) for window width w, versus the profiler's O(n) with
-/// short prefix scans.
+/// short window scans.
 std::vector<std::uint64_t> brute_force_stack_distances(
     std::span<const LineAddress> trace);
 

@@ -6,6 +6,7 @@
 #include <set>
 
 #include "common/error.hpp"
+#include "obs/metrics.hpp"
 
 namespace coloc::sim {
 namespace {
@@ -145,6 +146,28 @@ TEST(AppMrcLibraryTest, WorkingSetFitsMeansNoWarmMisses) {
   AppMrcLibrary lib;
   const MissRatioCurve& curve = lib.curve(tiny_app("fits", 300));
   EXPECT_NEAR(curve.miss_ratio(300.0), 0.0, 1e-9);
+}
+
+TEST(AppMrcLibraryTest, ProfileTimesEachKernel) {
+  // One profile (a memo miss: no other test uses this seed) observes trace
+  // generation and stack distance once each, and together they fit inside
+  // the whole-profile time.
+  obs::Registry& registry = obs::Registry::global();
+  obs::Histogram& gen = registry.histogram("trace_gen_seconds");
+  obs::Histogram& sd = registry.histogram("stack_distance_seconds");
+  obs::Histogram& total = registry.histogram("trace_profile_seconds");
+  const std::uint64_t gen_count = gen.count(), sd_count = sd.count(),
+                      total_count = total.count();
+  const double gen_sum = gen.sum(), sd_sum = sd.sum(),
+               total_sum = total.sum();
+  AppMrcLibrary lib;
+  lib.profile_all({tiny_app("timed", 2500)}, 0x71e5'0117ULL);
+  EXPECT_EQ(gen.count(), gen_count + 1);
+  EXPECT_EQ(sd.count(), sd_count + 1);
+  EXPECT_EQ(total.count(), total_count + 1);
+  EXPECT_GT(sd.sum() - sd_sum, 0.0);
+  EXPECT_LE((gen.sum() - gen_sum) + (sd.sum() - sd_sum),
+            total.sum() - total_sum);
 }
 
 TEST(ToStringTest, ClassAndSuiteNames) {

@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+#include <memory>
+#include <span>
+#include <string>
+
 #include "common/error.hpp"
 #include "test_helpers.hpp"
 
@@ -172,6 +178,41 @@ TEST_F(DvfsPolicyTest, InfeasibleEverywhereFallsBackToP0Predictions) {
   EXPECT_EQ(d.predicted_energy_j,
             energy_j(tiny_machine(), 0, coapps.size() + 1, p0_time) /
                 static_cast<double>(coapps.size() + 1));
+}
+
+/// Predicts the same time for every input, as a model extrapolating far
+/// outside its training range can.
+class ConstantTimeModel : public ml::Regressor {
+ public:
+  explicit ConstantTimeModel(double t) : t_(t) {}
+  double predict(std::span<const double>) const override { return t_; }
+  std::string describe() const override { return "constant"; }
+
+ private:
+  double t_;
+};
+
+TEST_F(DvfsPolicyTest, UnusablePredictionIsInfeasibleNotAnError) {
+  // A negative, zero or NaN time cannot meet a deadline or be priced: every
+  // state is infeasible, and the P0 fallback reports the raw prediction
+  // with no energy instead of throwing from energy_j.
+  const core::BaselineProfile& target = campaign_->baselines.at("quiet");
+  for (const double t :
+       {-0.25, 0.0, std::numeric_limits<double>::quiet_NaN()}) {
+    SCOPED_TRACE(t);
+    const core::ColocationPredictor predictor =
+        core::ColocationPredictor::from_model(
+            {core::ModelTechnique::kNeuralNetwork, core::FeatureSet::kF},
+            std::make_unique<ConstantTimeModel>(t));
+    DvfsDecision d;
+    ASSERT_NO_THROW(d = choose_pstate_for_deadline(tiny_machine(), predictor,
+                                                   target, {}, 100.0));
+    EXPECT_FALSE(d.feasible);
+    EXPECT_EQ(d.pstate_index, 0u);
+    EXPECT_TRUE(std::isnan(t) ? std::isnan(d.predicted_time_s)
+                              : d.predicted_time_s == t);
+    EXPECT_TRUE(std::isnan(d.predicted_energy_j));
+  }
 }
 
 TEST_F(DvfsPolicyTest, InvalidInputsRejected) {

@@ -13,16 +13,14 @@
 // mlp_fused.cpp (this file is built with -ffp-contract=off, as that one
 // is), plus the loader-dispatched entry points.
 #include <gtest/gtest.h>
-#include <sys/mman.h>
-#include <unistd.h>
 
 #include <cstdint>
 #include <cstring>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "common/rng.hpp"
+#include "guard_page.hpp"
 #include "linalg/fast_math.hpp"
 #include "linalg/gemm_batch.hpp"
 #include "ml/mlp_fused_kernels.hpp"
@@ -35,46 +33,13 @@ namespace {
 
 namespace fk = fused_kernels;
 
-/// n doubles ending exactly at a PROT_NONE guard page.
-class GuardedBuffer {
- public:
-  explicit GuardedBuffer(std::size_t n) : n_(n) {
-    const std::size_t page = static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
-    const std::size_t bytes = n * sizeof(double);
-    const std::size_t data_pages = (bytes + page - 1) / page;
-    map_bytes_ = (data_pages + 1) * page;
-    void* base = mmap(nullptr, map_bytes_, PROT_READ | PROT_WRITE,
-                      MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
-    if (base == MAP_FAILED) throw std::runtime_error("mmap failed");
-    base_ = static_cast<char*>(base);
-    char* guard = base_ + data_pages * page;
-    if (mprotect(guard, page, PROT_NONE) != 0) {
-      munmap(base_, map_bytes_);
-      throw std::runtime_error("mprotect failed");
-    }
-    data_ = reinterpret_cast<double*>(guard - bytes);
-  }
-  ~GuardedBuffer() { munmap(base_, map_bytes_); }
-  GuardedBuffer(const GuardedBuffer&) = delete;
-  GuardedBuffer& operator=(const GuardedBuffer&) = delete;
+using GuardedDoubles = testing_helpers::GuardedBuffer<double>;
 
-  double* data() { return data_; }
-  void fill(Rng& rng, double lo, double hi) {
-    for (std::size_t i = 0; i < n_; ++i) data_[i] = rng.uniform(lo, hi);
-  }
-  void copy_from(const std::vector<double>& v) {
-    std::memcpy(data_, v.data(), n_ * sizeof(double));
-  }
-  std::vector<double> to_vector() const {
-    return std::vector<double>(data_, data_ + n_);
-  }
-
- private:
-  std::size_t n_;
-  std::size_t map_bytes_ = 0;
-  char* base_ = nullptr;
-  double* data_ = nullptr;
-};
+/// Fills `buf` with uniform draws from [lo, hi).
+void fill(GuardedDoubles& buf, Rng& rng, double lo, double hi) {
+  for (std::size_t i = 0; i < buf.size(); ++i)
+    buf.data()[i] = rng.uniform(lo, hi);
+}
 
 /// Index of the first element whose bits differ, or -1.
 long first_mismatch(const double* a, const double* b, std::size_t n) {
@@ -124,15 +89,9 @@ struct Variant {
   }
 
 COLOC_KERNEL_VARIANT(baseline, )
-#if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__)
-#define COLOC_HAVE_ISA_VARIANTS 1
-// GCC refuses to inline the kernel bodies into target("arch=haswell"); the
-// attribute below names the same vector ISA and tuning.
-COLOC_KERNEL_VARIANT(haswell,
-                     __attribute__((target(
-                         "tune=haswell,avx2,fma,bmi,bmi2,lzcnt,movbe,popcnt,"
-                         "f16c"))))
-COLOC_KERNEL_VARIANT(x86_64_v4, __attribute__((target("arch=x86-64-v4"))))
+#ifdef COLOC_HAVE_ISA_VARIANTS
+COLOC_KERNEL_VARIANT(haswell, COLOC_TARGET_HASWELL)
+COLOC_KERNEL_VARIANT(x86_64_v4, COLOC_TARGET_X86_64_V4)
 #endif
 #undef COLOC_KERNEL_VARIANT
 
@@ -143,16 +102,11 @@ std::vector<Variant> host_variants() {
       {"baseline", &output_baseline, &backward_baseline, &gw1t_baseline},
   };
 #ifdef COLOC_HAVE_ISA_VARIANTS
-  __builtin_cpu_init();
-  if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma") &&
-      __builtin_cpu_supports("bmi2")) {
+  if (testing_helpers::host_runs_haswell()) {
     variants.push_back(
         {"haswell", &output_haswell, &backward_haswell, &gw1t_haswell});
   }
-  if (__builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx512vl") &&
-      __builtin_cpu_supports("avx512bw") &&
-      __builtin_cpu_supports("avx512dq") && __builtin_cpu_supports("avx2") &&
-      __builtin_cpu_supports("fma")) {
+  if (testing_helpers::host_runs_x86_64_v4()) {
     variants.push_back(
         {"x86-64-v4", &output_x86_64_v4, &backward_x86_64_v4, &gw1t_x86_64_v4});
   }
@@ -236,10 +190,10 @@ TEST(MlpFusedKernel, OutputRowsStayInsideBuffers) {
     for (const std::size_t hidden : hidden_widths()) {
       for (std::size_t planes = 1; planes <= kMaxPlanes; ++planes) {
         const std::size_t wide = planes * hidden;
-        GuardedBuffer act(m * wide), w2(wide), z(m), out(m * planes);
-        act.fill(rng, -1.0, 1.0);
-        w2.fill(rng, -1.0, 1.0);
-        z.fill(rng, -2.0, 2.0);
+        GuardedDoubles act(m * wide), w2(wide), z(m), out(m * planes);
+        fill(act, rng, -1.0, 1.0);
+        fill(w2, rng, -1.0, 1.0);
+        fill(z, rng, -2.0, 2.0);
         const double b2 = rng.uniform(-1.0, 1.0);
         for (const bool with_targets : {false, true}) {
           const double* zp = with_targets ? z.data() : nullptr;
@@ -277,11 +231,11 @@ TEST(MlpFusedKernel, BackwardRowsStayInsideBuffers) {
     for (const std::size_t hidden : hidden_widths()) {
       for (std::size_t planes = 1; planes <= kMaxPlanes; ++planes) {
         const std::size_t wide = planes * hidden;
-        GuardedBuffer act(m * wide), err(m * planes), w2(wide);
-        GuardedBuffer gw2(wide), gb1(wide), gb2(planes), da(m * wide);
-        act.fill(rng, -1.0, 1.0);
-        err.fill(rng, -2.0, 2.0);
-        w2.fill(rng, -1.0, 1.0);
+        GuardedDoubles act(m * wide), err(m * planes), w2(wide);
+        GuardedDoubles gw2(wide), gb1(wide), gb2(planes), da(m * wide);
+        fill(act, rng, -1.0, 1.0);
+        fill(err, rng, -2.0, 2.0);
+        fill(w2, rng, -1.0, 1.0);
         // Non-zero starting accumulators: the kernel must continue each
         // element's chain from whatever is in memory, overlapping chunks
         // included.
@@ -326,13 +280,13 @@ TEST(MlpFusedKernel, Gw1tRowsStayInsideBuffers) {
   Rng rng(0x61e1);
   for (const std::size_t m : kRows) {
     for (std::size_t inputs = 1; inputs <= kMaxInputs; ++inputs) {
-      GuardedBuffer x(m * inputs);
-      x.fill(rng, -2.0, 2.0);
+      GuardedDoubles x(m * inputs);
+      fill(x, rng, -2.0, 2.0);
       for (const std::size_t hidden : hidden_widths()) {
         for (std::size_t planes = 1; planes <= kMaxPlanes; ++planes) {
           const std::size_t wide = planes * hidden;
-          GuardedBuffer da(m * wide), gw1t(inputs * wide);
-          da.fill(rng, -0.1, 0.1);
+          GuardedDoubles da(m * wide), gw1t(inputs * wide);
+          fill(da, rng, -0.1, 0.1);
           std::vector<double> start(inputs * wide);
           for (double& s : start) s = rng.uniform(-0.5, 0.5);
           std::vector<double> want = start;
@@ -357,13 +311,13 @@ TEST(MlpFusedKernel, GemmBiasStaysInsideBuffers) {
   Rng rng(0x6e33);
   for (const std::size_t m : kRows) {
     for (std::size_t inner = 1; inner <= kMaxInputs; ++inner) {
-      GuardedBuffer x(m * inner);
-      x.fill(rng, -2.0, 2.0);
+      GuardedDoubles x(m * inner);
+      fill(x, rng, -2.0, 2.0);
       for (std::size_t cols = 1; cols <= kMaxHidden * kMaxPlanes; ++cols) {
         SCOPED_TRACE(shape(m, cols, 1, inner));
-        GuardedBuffer w(inner * cols), bias(cols), out(m * cols);
-        w.fill(rng, -1.0, 1.0);
-        bias.fill(rng, -1.0, 1.0);
+        GuardedDoubles w(inner * cols), bias(cols), out(m * cols);
+        fill(w, rng, -1.0, 1.0);
+        fill(bias, rng, -1.0, 1.0);
         std::vector<double> want(m * cols);
         for (std::size_t r = 0; r < m; ++r)
           for (std::size_t c = 0; c < cols; ++c) {
@@ -384,8 +338,8 @@ TEST(MlpFusedKernel, VectorTanhStaysInsideBuffer) {
   Rng rng(0x7a17);
   for (std::size_t n = 1; n <= 67; ++n) {
     SCOPED_TRACE(n);
-    GuardedBuffer z(n);
-    z.fill(rng, -4.0, 4.0);
+    GuardedDoubles z(n);
+    fill(z, rng, -4.0, 4.0);
     std::vector<double> want = z.to_vector();
     for (double& v : want) v = linalg::fast_tanh(v);
     linalg::vector_tanh(z.data(), n);
@@ -396,7 +350,7 @@ TEST(MlpFusedKernel, VectorTanhStaysInsideBuffer) {
 TEST(MlpFusedKernel, GuardPageCatchesAnOverRead) {
   // The harness itself: touching one element past a guarded buffer must
   // fault, or the tests above prove nothing.
-  GuardedBuffer buf(3);
+  GuardedDoubles buf(3);
   buf.data()[2] = 1.0;
   EXPECT_DEATH(
       {

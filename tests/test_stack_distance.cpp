@@ -3,8 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <iterator>
 #include <span>
+#include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "common/error.hpp"
@@ -46,6 +47,76 @@ TEST(Fenwick, OutOfRangeThrows) {
   EXPECT_THROW(t.add(4, 1), coloc::runtime_error);
   EXPECT_THROW(t.range_sum(2, 1), coloc::runtime_error);
 }
+
+/// Stack distances from a Fenwick tree over marker timestamps: the classic
+/// formulation, O(log n) per reference however long the reuse window.
+std::vector<std::uint64_t> fenwick_stack_distances(
+    std::span<const LineAddress> trace) {
+  FenwickTree markers(trace.size());
+  std::unordered_map<LineAddress, std::size_t> last;
+  std::vector<std::uint64_t> out;
+  out.reserve(trace.size());
+  for (std::size_t i = 0; i < trace.size(); ++i) {
+    const auto [it, first_touch] = last.try_emplace(trace[i], i);
+    if (first_touch) {
+      out.push_back(kColdMiss);
+    } else {
+      const std::size_t prev = it->second;
+      out.push_back(prev + 1 < i ? static_cast<std::uint64_t>(
+                                       markers.range_sum(prev + 1, i - 1))
+                                 : 0);
+      markers.add(prev, -1);
+      it->second = i;
+    }
+    markers.add(i, 1);
+  }
+  return out;
+}
+
+/// References mixing short reuse windows (a 64-line hot set), windows of
+/// thousands of references (2,000 warm lines) and windows far longer than
+/// a 65,536-timestamp superblock (a cyclic sweep over 40,000 lines, each
+/// revisited about 90,000 references later).
+std::vector<LineAddress> mixed_window_trace(std::size_t n, std::uint64_t seed) {
+  coloc::Rng rng(seed);
+  std::vector<LineAddress> trace;
+  trace.reserve(n);
+  std::size_t sweep = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const double u = rng.uniform();
+    if (u < 0.45) {
+      trace.push_back(rng.uniform_index(64));
+    } else if (u < 0.55) {
+      trace.push_back(1'000'000 + rng.uniform_index(2000));
+    } else {
+      trace.push_back(2'000'000 + sweep++ % 40'000);
+    }
+  }
+  return trace;
+}
+
+/// Records `trace` in batches whose lengths cycle through `lengths`, the
+/// last one cut to fill what remains.
+void record_ragged(StackDistanceProfiler& p, std::span<const LineAddress> trace,
+                   std::span<const std::size_t> lengths) {
+  std::size_t done = 0;
+  for (std::size_t k = 0; done < trace.size(); ++k) {
+    const std::size_t len =
+        std::min(lengths[k % lengths.size()], trace.size() - done);
+    p.record_batch(trace.subspan(done, len));
+    done += len;
+  }
+}
+
+void expect_same_counts(const StackDistanceProfiler& got,
+                        const StackDistanceProfiler& want) {
+  EXPECT_EQ(got.references(), want.references());
+  EXPECT_EQ(got.cold_misses(), want.cold_misses());
+  EXPECT_EQ(got.beyond_tracked(), want.beyond_tracked());
+  EXPECT_EQ(got.histogram(), want.histogram());
+}
+
+constexpr std::size_t kRaggedLengths[] = {1, 13, 64, 511, 4096, 7, 65536, 3};
 
 TEST(StackDistance, ColdMissesMarked) {
   StackDistanceProfiler p(10);
@@ -149,19 +220,8 @@ TEST(StackDistance, RecordBatchMatchesScalarRecord) {
 
   StackDistanceProfiler batched(trace.size());
   const std::size_t chunks[] = {1, 13, 500, 64, 7, 2048};
-  std::size_t done = 0, chunk_index = 0;
-  while (done < trace.size()) {
-    const std::size_t len =
-        std::min(chunks[chunk_index++ % std::size(chunks)],
-                 trace.size() - done);
-    batched.record_batch(
-        std::span<const LineAddress>(trace.data() + done, len));
-    done += len;
-  }
-  EXPECT_EQ(batched.references(), scalar.references());
-  EXPECT_EQ(batched.cold_misses(), scalar.cold_misses());
-  EXPECT_EQ(batched.beyond_tracked(), scalar.beyond_tracked());
-  EXPECT_EQ(batched.histogram(), scalar.histogram());
+  record_ragged(batched, trace, chunks);
+  expect_same_counts(batched, scalar);
 }
 
 TEST(StackDistance, ManyDistinctLinesSurviveMapGrowth) {
@@ -177,6 +237,92 @@ TEST(StackDistance, ManyDistinctLinesSurviveMapGrowth) {
   for (std::size_t i = 0; i < trace.size(); ++i) {
     ASSERT_EQ(p.record(trace[i]), expected[i]) << "at index " << i;
   }
+}
+
+TEST(StackDistance, WindowsAcrossSuperblocksMatchFenwick) {
+  const std::vector<LineAddress> trace = mixed_window_trace(240'000, 21);
+  const std::vector<std::uint64_t> expected = fenwick_stack_distances(trace);
+  std::unordered_map<LineAddress, std::size_t> last;
+  std::size_t longest_window = 0;
+  for (std::size_t i = 0; i < trace.size(); ++i) {
+    const auto [it, first_touch] = last.try_emplace(trace[i], i);
+    if (!first_touch) longest_window = std::max(longest_window, i - it->second);
+    it->second = i;
+  }
+  ASSERT_GT(longest_window, 65'536u);
+
+  for (const std::size_t cap : {std::size_t{1} << 22, std::size_t{30'000}}) {
+    SCOPED_TRACE("max tracked " + std::to_string(cap));
+    StackDistanceProfiler scalar(trace.size());
+    scalar.set_max_tracked_distance(cap);
+    for (std::size_t i = 0; i < trace.size(); ++i)
+      ASSERT_EQ(scalar.record(trace[i]), expected[i]) << "at index " << i;
+
+    StackDistanceProfiler batched(trace.size());
+    batched.set_max_tracked_distance(cap);
+    record_ragged(batched, trace, kRaggedLengths);
+    expect_same_counts(batched, scalar);
+  }
+}
+
+TEST(StackDistance, CapacityEdgesMatchFenwick) {
+  // Capacities on either side of a word, a block and a superblock; each
+  // profiler is filled exactly, by single references, by ragged batches
+  // and by one whole batch.
+  for (const std::size_t capacity :
+       {63u, 64u, 65u, 511u, 512u, 513u, 65535u, 65536u, 65537u}) {
+    SCOPED_TRACE("capacity " + std::to_string(capacity));
+    coloc::Rng rng(capacity);
+    std::vector<LineAddress> trace(capacity);
+    for (LineAddress& a : trace) a = rng.uniform_index(capacity / 3 + 2);
+    const std::vector<std::uint64_t> expected = fenwick_stack_distances(trace);
+
+    StackDistanceProfiler scalar(capacity);
+    for (std::size_t i = 0; i < capacity; ++i)
+      ASSERT_EQ(scalar.record(trace[i]), expected[i]) << "at index " << i;
+    EXPECT_THROW(scalar.record(1), coloc::runtime_error);
+
+    StackDistanceProfiler ragged(capacity);
+    record_ragged(ragged, trace, kRaggedLengths);
+    expect_same_counts(ragged, scalar);
+    const LineAddress one_more[] = {1};
+    EXPECT_THROW(ragged.record_batch(one_more), coloc::runtime_error);
+    expect_same_counts(ragged, scalar);
+
+    StackDistanceProfiler whole(capacity);
+    whole.record_batch(trace);
+    expect_same_counts(whole, scalar);
+  }
+}
+
+TEST(StackDistance, RejectedBatchLeavesProfilerUntouched) {
+  coloc::Rng rng(5);
+  std::vector<LineAddress> trace(100);
+  for (LineAddress& a : trace) a = rng.uniform_index(30);
+  StackDistanceProfiler reference(trace.size());
+  for (const LineAddress a : trace) reference.record(a);
+
+  StackDistanceProfiler p(trace.size());
+  p.record_batch(std::span<const LineAddress>(trace).first(60));
+  const std::vector<std::uint64_t> histogram = p.histogram();
+  const std::uint64_t cold = p.cold_misses();
+
+  // One reference over capacity, then the reserved address mid-batch: both
+  // are refused before the first reference of the batch is recorded.
+  std::vector<LineAddress> too_long(trace.begin() + 60, trace.end());
+  too_long.push_back(7);
+  EXPECT_THROW(p.record_batch(too_long), coloc::runtime_error);
+  std::vector<LineAddress> reserved(trace.begin() + 60, trace.begin() + 70);
+  reserved[5] = ~LineAddress{0};
+  EXPECT_THROW(p.record_batch(reserved), coloc::runtime_error);
+  EXPECT_THROW(p.record(~LineAddress{0}), coloc::runtime_error);
+  EXPECT_EQ(p.references(), 60u);
+  EXPECT_EQ(p.cold_misses(), cold);
+  EXPECT_EQ(p.histogram(), histogram);
+
+  // The rest of the trace then lands as if nothing had been attempted.
+  p.record_batch(std::span<const LineAddress>(trace).subspan(60));
+  expect_same_counts(p, reference);
 }
 
 // The fundamental Mattson property: for a fully-associative LRU cache of
