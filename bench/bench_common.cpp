@@ -4,7 +4,9 @@
 #include <cctype>
 #include <cstdio>
 #include <filesystem>
+#include <iterator>
 #include <system_error>
+#include <vector>
 
 #include "common/log.hpp"
 #include "common/thread_pool.hpp"
@@ -12,7 +14,24 @@
 
 namespace coloc::bench {
 
-HarnessConfig HarnessConfig::from_cli(const CliArgs& args) {
+namespace {
+
+/// Every flag from_cli() reads.
+constexpr std::string_view kHarnessFlags[] = {
+    "partitions", "nn-iters", "seed", "quick", "jobs", "restarts",
+    "sweep-scale", "jobs-sweep", "metrics-out", "trace-out", "bundle-out",
+    "fault-rate", "fault-kinds", "checkpoint", "checkpoint-every", "resume",
+    "zoo-out", "zoo-in"};
+
+}  // namespace
+
+HarnessConfig HarnessConfig::from_cli(
+    const CliArgs& args, std::initializer_list<std::string_view> extra_flags) {
+  std::vector<std::string_view> declared(std::begin(kHarnessFlags),
+                                         std::end(kHarnessFlags));
+  declared.insert(declared.end(), extra_flags.begin(), extra_flags.end());
+  args.reject_unknown(declared);
+
   HarnessConfig config;
   config.partitions = static_cast<std::size_t>(
       args.get_int("partitions", static_cast<std::int64_t>(config.partitions)));
@@ -51,7 +70,6 @@ HarnessConfig HarnessConfig::from_cli(const CliArgs& args) {
         "--restarts must be in [1, 64], got " + std::to_string(restarts));
   }
   config.restarts = static_cast<std::size_t>(restarts);
-  config.no_parallel_restarts = args.get_bool("no-parallel-restarts", false);
   if (!args.program().empty()) {
     const std::string& program = args.program();
     const auto slash = program.find_last_of('/');
@@ -139,10 +157,6 @@ core::EvaluationConfig HarnessConfig::evaluation() const {
   eval.zoo.mlp.max_iterations = nn_iterations;
   eval.zoo.mlp.weight_decay = 1e-6;
   eval.zoo.mlp.restarts = restarts;
-  if (no_parallel_restarts) {
-    eval.zoo.mlp.parallel_restarts = false;
-    eval.zoo.mlp.fused_restarts = false;
-  }
   return eval;
 }
 

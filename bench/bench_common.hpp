@@ -8,10 +8,8 @@
 //                       (0 = auto; overrides COLOC_JOBS; results are
 //                       bit-identical at any value)
 //   --restarts=N        SCG restarts per network fit, in [1, 64] (default
-//                       1; the winner is the lowest-loss restart, fused
-//                       into batched kernels unless disabled)
-//   --no-parallel-restarts  keep restarts off the worker pool AND off the
-//                       fused batched path (the historical serial loop)
+//                       1; the winner is the lowest-loss restart, all
+//                       restarts trained together in batched kernels)
 //   --sweep-scale=N     multiply the campaign sweep N-fold (cloned targets)
 //   --jobs-sweep=LIST   comma-separated jobs values to re-run the campaign
 //                       at (bench_perf_pipeline; emits jobs_scaling JSON)
@@ -27,13 +25,18 @@
 //   --checkpoint-every=N  cells between periodic checkpoint flushes
 //   --resume            load the checkpoint and skip measured cells
 //
+// Any other `--flag` is rejected (invalid_argument_error naming the nearest
+// declared flag) unless the binary declares it through from_cli().
+//
 // Every bench main holds one obs::ObsSession built from run_session();
 // besides honoring the flags above it prints a machine-readable
 // "total_wall_time_s=... peak_rss_mb=..." cost line when the run ends.
 #pragma once
 
 #include <cstdint>
+#include <initializer_list>
 #include <string>
+#include <string_view>
 
 #include "common/cli.hpp"
 #include "core/campaign.hpp"
@@ -74,14 +77,14 @@ struct HarnessConfig {
   /// and emit a jobs_scaling curve (bench_perf_pipeline only).
   std::string jobs_sweep;
   /// --restarts=N: SCG restarts per network fit, validated into [1, 64].
-  /// Per-restart RNG streams make the result independent of how the
-  /// restarts are executed (sequential, pooled, or fused).
+  /// Per-restart RNG streams make each restart independent of the others.
   std::size_t restarts = 1;
-  /// --no-parallel-restarts: pin fits to the historical serial restart
-  /// loop (no pool fan-out, no fused batched kernels).
-  bool no_parallel_restarts = false;
 
-  static HarnessConfig from_cli(const CliArgs& args);
+  /// Parses the common flags above. `extra_flags` names the binary's own
+  /// flags; any `--flag` in neither set throws invalid_argument_error.
+  static HarnessConfig from_cli(
+      const CliArgs& args,
+      std::initializer_list<std::string_view> extra_flags = {});
 
   core::EvaluationConfig evaluation() const;
 

@@ -15,7 +15,8 @@
 int main(int argc, char** argv) {
   using namespace coloc;
   const CliArgs args(argc, argv);
-  const bench::HarnessConfig config = bench::HarnessConfig::from_cli(args);
+  const bench::HarnessConfig config =
+      bench::HarnessConfig::from_cli(args, {"scenarios"});
   const obs::ObsSession session(config.run_session());
   const std::size_t scenarios =
       static_cast<std::size_t>(args.get_int("scenarios", 150));

@@ -1,41 +1,29 @@
-// Performance-trajectory harness for the PR 4 fast paths. Times the three
-// pipeline stages the optimization targeted — trace profiling, the Table V
-// collection campaign, and the paper's 100-partition set-F MLP validation —
-// and races the batched MLP training/inference path against an in-file
-// replica of the pre-optimization implementation (rowwise std::tanh
-// loss/gradient, per-call-allocating predict, serial restarts) driven
-// through the same repeated_subsampling_validation protocol.
-//
-// Stage 1 additionally races the batched trace->profile kernel path (PR 9:
-// TraceGenerator::next_batch + the marker-bitmap StackDistanceProfiler)
-// against an in-file replica of the pre-optimization implementation
-// (Fenwick tree + std::unordered_map last-access table, one reference at a
-// time) and reports the kernel speedup.
+// Performance-trajectory harness for the pipeline stages: trace profiling,
+// the Table V collection campaign, the 12-model zoo, and the paper's
+// 100-partition set-F MLP validation.
 //
 // Writes a machine-readable BENCH_pipeline.json (override with --out=FILE)
-// recording the stage timings, the validation speedup, and a set of
-// numerical-equivalence gates. The exit status reflects ONLY the
+// recording the stage timings, the serial-vs-parallel speedups, and a set
+// of numerical-equivalence gates. The exit status reflects ONLY the
 // equivalence gates — never timing — so CI can run this on noisy shared
 // runners without flaking:
 //   gate matmul_vs_naive          tiled GEMM == reference i-k-j loop
-//   gate batched_loss_vs_reference batched loss/grad == rowwise oracle
-//   gate fast_vs_legacy_mpe/nrmse  validation metrics match the replica
 //   gate trace_batch_bit_identical next_batch() == per-reference next()
-//   gate trace_profile_bit_identical batched profiler == Fenwick replica
 //   gate cache_batch_bit_identical access_batch() == per-access walk
 //   gate solve_cache_bit_identical cached contention solve == cold solve
 //   gate campaign_parallel_bit_identical  parallel campaign == serial sweep
-//   gate zoo_parallel_bit_identical       fused multi-restart zoo on the
-//                                         flat task graph == sequential
-//                                         restart loop, serially scheduled
+//   gate zoo_parallel_bit_identical       zoo on the flat task graph ==
+//                                         the same zoo serially scheduled
 //   gate zoo_warm_start_bit_identical     zoo reloaded from the store
 //                                         bundle == freshly trained zoo
+// The kernels' own oracles (the row-at-a-time MLP loss/gradient and
+// sequential restart loop, the Fenwick-tree stack distance) are held to
+// the fast paths bit for bit by the unit tests, not here.
 //
-// The zoo race runs at max(--restarts, 4) SCG restarts per MLP fit: the
-// serial arm pins the historical sequential restart loop (fused + pooled
-// restarts disabled, serial validation scheduling) while the parallel arm
-// runs the fused batched kernels on the flat model x partition task graph,
-// so zoo_speedup measures the tentpole (scheduler + fused kernels) and the
+// The zoo race runs at max(--restarts, 4) SCG restarts per MLP fit with
+// the same fused trainer in both arms: the serial arm schedules validation
+// serially while the parallel arm runs the flat model x partition task
+// graph, so zoo_speedup measures the scheduler alone and the
 // zoo_parallel_bit_identical gate polices its bit-identity. The JSON also
 // records a "training" block (scg_fused_restarts_total, train_gemm_seconds
 // sum/count, design-memo hits/misses) mirroring the manifest's training
@@ -46,8 +34,7 @@
 // the (scaled) campaign at each jobs value and emits a "jobs_scaling" curve
 // in the JSON, each run gated bit-identical against the serial dataset;
 // --restarts=N raises the restart count everywhere (the zoo race floor
-// stays 4); --no-parallel-restarts pins every fit to the historical serial
-// restart loop, turning the zoo race into a scheduler-only comparison.
+// stays 4).
 //
 // The warm-start arm times training the full 12-model zoo cold against
 // saving it to a checksummed store bundle (--zoo-out, default
@@ -73,7 +60,6 @@
 #include <optional>
 #include <span>
 #include <sstream>
-#include <unordered_map>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -83,7 +69,6 @@
 #include "linalg/matrix.hpp"
 #include "ml/dataset.hpp"
 #include "ml/mlp.hpp"
-#include "ml/scg.hpp"
 #include "ml/serialization.hpp"
 #include "ml/validation.hpp"
 #include "obs/attribution.hpp"
@@ -109,211 +94,6 @@ struct Gate {
   double value = 0.0;
   double limit = 0.0;
   bool pass() const { return value <= limit; }
-};
-
-// ---------------------------------------------------------------------------
-// Pre-optimization MLP replica. This is the seed implementation the batched
-// path replaced: std::tanh through a row-at-a-time forward/backward pass,
-// predict() allocating a fresh standardization buffer per call, and the
-// default per-row predict_all loop. Kept here (not in src/) so the library
-// carries exactly one tanh and one training path; the replica exists only
-// to give the speedup measurement an honest baseline.
-// ---------------------------------------------------------------------------
-
-class LegacyMlp final : public ml::Regressor {
- public:
-  static std::unique_ptr<LegacyMlp> fit(const linalg::Matrix& x,
-                                        std::span<const double> y,
-                                        const ml::MlpOptions& options) {
-    linalg::Matrix design = x;
-    ml::Standardizer scaler = ml::Standardizer::fit(design);
-    scaler.transform(design);
-    ml::TargetScaler target = ml::TargetScaler::fit(y);
-    const std::vector<double> z = target.transform_all(y);
-
-    auto model = std::unique_ptr<LegacyMlp>(new LegacyMlp);
-    model->inputs_ = x.cols();
-    model->hidden_ = options.hidden_units;
-    model->scaler_ = std::move(scaler);
-    model->target_ = std::move(target);
-    model->params_.assign(model->num_parameters(), 0.0);
-
-    Rng rng(options.seed);
-    model->initialize(rng);
-
-    ml::ScgObjective objective{
-        .dimension = model->num_parameters(),
-        .value_and_gradient =
-            [&](std::span<const double> p, std::span<double> g) {
-              std::copy(p.begin(), p.end(), model->params_.begin());
-              return model->loss_and_gradient(design, z,
-                                              options.weight_decay, g);
-            },
-    };
-    std::vector<double> p = model->params_;
-    ml::ScgOptions scg_options;
-    scg_options.max_iterations = options.max_iterations;
-    scg_options.gradient_tolerance = options.gradient_tolerance;
-    const ml::ScgResult res = ml::scg_minimize(objective, p, scg_options);
-    model->params_.assign(res.solution.begin(), res.solution.end());
-    return model;
-  }
-
-  double predict(std::span<const double> features) const override {
-    // Deliberately the pre-PR behaviour: heap-allocate the standardized
-    // row on every call.
-    std::vector<double> row(features.begin(), features.end());
-    scaler_.transform_row(row);
-    return target_.inverse(forward(row));
-  }
-
-  std::string describe() const override { return "LegacyMlp"; }
-
- private:
-  LegacyMlp() = default;
-
-  std::size_t num_parameters() const {
-    return hidden_ * inputs_ + 2 * hidden_ + 1;
-  }
-  std::size_t b1_offset() const { return hidden_ * inputs_; }
-  std::size_t w2_offset() const { return hidden_ * inputs_ + hidden_; }
-  std::size_t b2_offset() const { return hidden_ * inputs_ + 2 * hidden_; }
-
-  void initialize(Rng& rng) {
-    const double w1_scale = std::sqrt(1.0 / static_cast<double>(inputs_));
-    const double w2_scale = std::sqrt(1.0 / static_cast<double>(hidden_));
-    for (std::size_t i = 0; i < hidden_ * inputs_; ++i)
-      params_[i] = rng.normal(0.0, w1_scale);
-    for (std::size_t i = 0; i < hidden_; ++i)
-      params_[w2_offset() + i] = rng.normal(0.0, w2_scale);
-  }
-
-  double forward(std::span<const double> x) const {
-    const double* w1 = params_.data();
-    const double* b1 = params_.data() + b1_offset();
-    const double* w2 = params_.data() + w2_offset();
-    double out = params_[b2_offset()];
-    for (std::size_t h = 0; h < hidden_; ++h) {
-      double a = b1[h];
-      const double* wrow = w1 + h * inputs_;
-      for (std::size_t i = 0; i < inputs_; ++i) a += wrow[i] * x[i];
-      out += w2[h] * std::tanh(a);
-    }
-    return out;
-  }
-
-  double loss_and_gradient(const linalg::Matrix& x, std::span<const double> y,
-                           double weight_decay,
-                           std::span<double> grad) const {
-    const std::size_t m = x.rows();
-    const double* w1 = params_.data();
-    const double* b1 = params_.data() + b1_offset();
-    const double* w2 = params_.data() + w2_offset();
-    double* g_w1 = grad.data();
-    double* g_b1 = grad.data() + b1_offset();
-    double* g_w2 = grad.data() + w2_offset();
-    double& g_b2 = grad[b2_offset()];
-    std::fill(grad.begin(), grad.end(), 0.0);
-
-    std::vector<double> act(hidden_);
-    double loss = 0.0;
-    const double inv_m = 1.0 / static_cast<double>(m);
-    for (std::size_t r = 0; r < m; ++r) {
-      const auto row = x.row(r);
-      double out = params_[b2_offset()];
-      for (std::size_t h = 0; h < hidden_; ++h) {
-        double a = b1[h];
-        const double* wrow = w1 + h * inputs_;
-        for (std::size_t i = 0; i < inputs_; ++i) a += wrow[i] * row[i];
-        act[h] = std::tanh(a);
-        out += w2[h] * act[h];
-      }
-      const double err = out - y[r];
-      loss += 0.5 * err * err;
-      const double d_out = err * inv_m;
-      g_b2 += d_out;
-      for (std::size_t h = 0; h < hidden_; ++h) {
-        g_w2[h] += d_out * act[h];
-        const double d_a = d_out * w2[h] * (1.0 - act[h] * act[h]);
-        g_b1[h] += d_a;
-        double* grow = g_w1 + h * inputs_;
-        for (std::size_t i = 0; i < inputs_; ++i) grow[i] += d_a * row[i];
-      }
-    }
-    loss *= inv_m;
-    if (weight_decay > 0.0) {
-      double wnorm = 0.0;
-      for (std::size_t i = 0; i < params_.size(); ++i) {
-        wnorm += params_[i] * params_[i];
-        grad[i] += weight_decay * params_[i];
-      }
-      loss += 0.5 * weight_decay * wnorm;
-    }
-    return loss;
-  }
-
-  std::size_t inputs_ = 0;
-  std::size_t hidden_ = 0;
-  std::vector<double> params_;
-  ml::Standardizer scaler_;
-  ml::TargetScaler target_;
-};
-
-// ---------------------------------------------------------------------------
-// Pre-PR-9 stack-distance profiler replica: a Fenwick (binary indexed) tree
-// of reuse markers queried with ~log(n) random probes per reference, plus a
-// std::unordered_map last-access table. This is the seed implementation the
-// marker-bitmap profiler replaced; it lives here (not in src/) so the
-// library carries exactly one profiler, and exists to give the kernel
-// speedup an honest baseline and the equivalence gate an oracle.
-// ---------------------------------------------------------------------------
-
-class LegacyStackProfiler {
- public:
-  explicit LegacyStackProfiler(std::size_t max_references)
-      : tree_(max_references) {
-    last_access_.reserve(1 << 16);
-  }
-
-  std::uint64_t record(sim::LineAddress line) {
-    const std::size_t now = static_cast<std::size_t>(time_);
-    std::uint64_t distance = sim::kColdMiss;
-    auto it = last_access_.find(line);
-    if (it != last_access_.end()) {
-      const std::size_t prev = it->second;
-      distance = static_cast<std::uint64_t>(
-          now > prev + 1 ? tree_.range_sum(prev + 1, now - 1) : 0);
-      tree_.add(prev, -1);  // the line's marker moves to `now`
-      it->second = now;
-    } else {
-      ++cold_;
-      last_access_.emplace(line, now);
-    }
-    tree_.add(now, +1);
-    ++time_;
-    if (distance != sim::kColdMiss) {
-      if (distance < max_tracked_) {
-        if (distance >= histogram_.size()) histogram_.resize(distance + 1, 0);
-        ++histogram_[distance];
-      } else {
-        ++beyond_;
-      }
-    }
-    return distance;
-  }
-
-  std::uint64_t cold_misses() const { return cold_; }
-  std::uint64_t beyond_tracked() const { return beyond_; }
-  const std::vector<std::uint64_t>& histogram() const { return histogram_; }
-
- private:
-  sim::FenwickTree tree_;
-  std::unordered_map<sim::LineAddress, std::size_t> last_access_;
-  std::vector<std::uint64_t> histogram_;
-  std::size_t max_tracked_ = 1 << 22;
-  std::uint64_t time_ = 0;
-  std::uint64_t cold_ = 0;
-  std::uint64_t beyond_ = 0;
 };
 
 /// Parses "1,2,4,8" into jobs values; ignores empty/invalid tokens.
@@ -546,7 +326,8 @@ void print_arm(const char* name, std::size_t jobs, double wall_serial_s,
 int main(int argc, char** argv) {
   using namespace coloc;
   const CliArgs args(argc, argv);
-  const bench::HarnessConfig config = bench::HarnessConfig::from_cli(args);
+  const bench::HarnessConfig config =
+      bench::HarnessConfig::from_cli(args, {"out"});
   const obs::ObsSession session(config.run_session());
   const std::string out_path = args.get("out", "BENCH_pipeline.json");
 
@@ -560,8 +341,7 @@ int main(int argc, char** argv) {
     local_sink->install();
   }
 
-  // --- Stage 1: trace profiling (stack-distance pass over one app trace),
-  // batched kernel vs the pre-PR Fenwick replica, with bit-identity gates.
+  // --- Stage 1: trace profiling (stack-distance pass over one app trace).
   const sim::ApplicationSpec canneal = sim::find_application("canneal");
   const std::size_t trace_len = config.quick ? 200'000 : 2'000'000;
   sim::TraceGenerator generator(canneal.trace, config.seed);
@@ -578,8 +358,8 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Min-of-3 on both arms: sub-second single-shot walls swing the ratio
-  // by tens of percent on a shared host.
+  // Min-of-3: sub-second single-shot walls swing by tens of percent on a
+  // shared host.
   double profile_s = 0.0;
   std::optional<sim::StackDistanceProfiler> profiler_opt;
   for (int rep = 0; rep < 3; ++rep) {
@@ -591,34 +371,11 @@ int main(int argc, char** argv) {
   }
   const sim::StackDistanceProfiler& profiler = *profiler_opt;
 
-  double legacy_profile_s = 0.0;
-  std::uint64_t legacy_cold = 0, legacy_beyond = 0;
-  std::vector<std::uint64_t> legacy_histogram;
-  for (int rep = 0; rep < 3; ++rep) {
-    t0 = std::chrono::steady_clock::now();
-    LegacyStackProfiler legacy_run(trace.size());
-    for (const sim::LineAddress a : trace) legacy_run.record(a);
-    const double wall = seconds_since(t0);
-    if (rep == 0 || wall < legacy_profile_s) legacy_profile_s = wall;
-    if (rep == 0) {
-      legacy_cold = legacy_run.cold_misses();
-      legacy_beyond = legacy_run.beyond_tracked();
-      legacy_histogram = legacy_run.histogram();
-    }
-  }
-
-  const bool profile_identical = profiler.cold_misses() == legacy_cold &&
-                                 profiler.beyond_tracked() == legacy_beyond &&
-                                 profiler.histogram() == legacy_histogram;
-  const double kernel_speedup =
-      profile_s > 0.0 ? legacy_profile_s / profile_s : 0.0;
   std::printf("trace profiling      : %8.3f s  (%zu refs, %llu cold; "
               "gen %.3f s)\n",
               profile_s, trace.size(),
               static_cast<unsigned long long>(profiler.cold_misses()),
               generate_s);
-  std::printf("trace profiling (old): %8.3f s  (%.2fx kernel speedup)\n",
-              legacy_profile_s, kernel_speedup);
 
   // Batched cache walk vs the per-access scalar path, over both a
   // power-of-two L2 and the non-power-of-two 12 MB LLC slice, standalone
@@ -792,13 +549,12 @@ int main(int argc, char** argv) {
   // --- Stage 2b: the 12-model evaluation zoo, serial vs. flattened batch
   // across the pool. Reduced partition/iteration counts keep the stage
   // proportionate; the equivalence gate is what matters on slow runners.
-  // The race runs at >= 4 SCG restarts per MLP fit so it exercises the
-  // fused multi-restart trainer: the serial arm pins the historical
-  // sequential restart loop (fused + pooled restarts disabled), the
-  // parallel arm runs the batched kernels on the flat task graph. The
-  // bit-identity gate below therefore covers BOTH the scheduler and the
-  // fused kernels. zoo_config itself stays untouched for Stage 2c so the
-  // bundle digest is comparable across runs at default --restarts.
+  // The race runs at >= 4 SCG restarts per MLP fit through the fused
+  // multi-restart trainer in both arms: the serial arm schedules
+  // validation serially, the parallel arm runs the flat task graph, so the
+  // speedup and the bit-identity gate below cover the scheduler alone.
+  // zoo_config itself stays untouched for Stage 2c so the bundle digest is
+  // comparable across runs at default --restarts.
   core::EvaluationConfig zoo_config = config.evaluation();
   zoo_config.validation.partitions = std::min<std::size_t>(config.partitions,
                                                            10);
@@ -809,8 +565,6 @@ int main(int argc, char** argv) {
 
   core::EvaluationConfig zoo_serial_config = zoo_config;
   zoo_serial_config.zoo.mlp.restarts = zoo_race_restarts;
-  zoo_serial_config.zoo.mlp.fused_restarts = false;
-  zoo_serial_config.zoo.mlp.parallel_restarts = false;
   zoo_serial_config.validation.parallel = false;
   pre_arm = obs::Registry::global().snapshot();
   arm_start_ns = obs::trace_now_ns();
@@ -841,7 +595,7 @@ int main(int argc, char** argv) {
                   obs::trace_now_ns(), "validation");
   const double zoo_speedup =
       zoo_parallel_s > 0.0 ? zoo_serial_s / zoo_parallel_s : 0.0;
-  std::printf("model zoo (jobs=%zu fused): %8.3f s  (%.2fx vs serial)\n",
+  std::printf("model zoo (jobs=%zu)  : %8.3f s  (%.2fx vs serial)\n",
               jobs, zoo_parallel_s, zoo_speedup);
 
   bool zoo_identical =
@@ -919,43 +673,27 @@ int main(int argc, char** argv) {
   print_arm("campaign", jobs, campaign_serial_s, campaign_parallel_attr);
   print_arm("zoo", jobs, zoo_serial_s, zoo_parallel_attr);
 
-  // --- Stage 3: set-F MLP validation, fast path vs pre-PR replica.
-  // Both arms share one MlpOptions so the comparison isolates the
-  // implementation, not the hyperparameters.
+  // --- Stage 3: the paper's set-F MLP validation.
   ml::MlpOptions mlp = config.evaluation().zoo.mlp;
   mlp.hidden_units = core::hidden_units_for(core::FeatureSet::kF);
   const auto& columns = core::feature_set_columns(core::FeatureSet::kF);
   ml::ValidationOptions validation;
   validation.partitions = config.partitions;
 
-  const ml::ModelFactory fast_factory =
+  const ml::ModelFactory factory =
       [&mlp](const linalg::Matrix& x,
              std::span<const double> y) -> ml::RegressorPtr {
     return std::make_unique<ml::MlpRegressor>(ml::MlpRegressor::fit(x, y, mlp));
   };
-  const ml::ModelFactory legacy_factory =
-      [&mlp](const linalg::Matrix& x,
-             std::span<const double> y) -> ml::RegressorPtr {
-    return LegacyMlp::fit(x, y, mlp);
-  };
 
   t0 = std::chrono::steady_clock::now();
-  const ml::ValidationResult legacy = ml::repeated_subsampling_validation(
-      campaign.dataset, columns, legacy_factory, validation);
-  const double legacy_s = seconds_since(t0);
-  std::printf("validation (legacy)  : %8.3f s  (MPE %.3f%%, NRMSE %.3f)\n",
-              legacy_s, legacy.test_mpe, legacy.test_nrmse);
-
-  t0 = std::chrono::steady_clock::now();
-  const ml::ValidationResult fast = ml::repeated_subsampling_validation(
-      campaign.dataset, columns, fast_factory, validation);
-  const double fast_s = seconds_since(t0);
-  std::printf("validation (fast)    : %8.3f s  (MPE %.3f%%, NRMSE %.3f)\n",
-              fast_s, fast.test_mpe, fast.test_nrmse);
-
-  const double speedup = fast_s > 0.0 ? legacy_s / fast_s : 0.0;
-  std::printf("validation speedup   : %8.2fx (%zu partitions, set F)\n",
-              speedup, validation.partitions);
+  const ml::ValidationResult validated = ml::repeated_subsampling_validation(
+      campaign.dataset, columns, factory, validation);
+  const double validation_s = seconds_since(t0);
+  std::printf("validation           : %8.3f s  (MPE %.3f%%, NRMSE %.3f; "
+              "%zu partitions, set F)\n",
+              validation_s, validated.test_mpe, validated.test_nrmse,
+              validation.partitions);
 
   // --- Equivalence gates.
   std::vector<Gate> gates;
@@ -974,44 +712,15 @@ int main(int argc, char** argv) {
     gates.push_back({"matmul_vs_naive_max_abs_diff", worst, 1e-12});
   }
 
-  {  // (b) batched loss/gradient vs the rowwise reference oracle.
-    const std::size_t m = 37, inputs = 9, hidden = 13;
-    const linalg::Matrix x = random_matrix(m, inputs, rng);
-    std::vector<double> y(m);
-    for (double& v : y) v = rng.uniform(-1.0, 1.0);
-    ml::MlpNetwork net(inputs, hidden);
-    Rng init(config.seed + 1);
-    net.initialize(init);
-    std::vector<double> g_fast(net.num_parameters());
-    std::vector<double> g_ref(net.num_parameters());
-    const double l_fast = net.loss_and_gradient(x, y, 1e-6, g_fast);
-    const double l_ref = net.loss_and_gradient_reference(x, y, 1e-6, g_ref);
-    const double worst =
-        std::max(std::abs(l_fast - l_ref), max_abs_diff(g_fast, g_ref));
-    gates.push_back({"batched_loss_vs_reference_max_abs_diff", worst, 1e-12});
-  }
-
-  // (c) fast vs legacy validation metrics. The two arms differ only in the
-  // tanh implementation (|rel err| < 1e-15 per call), so trained models —
-  // and the averaged validation metrics — must agree far inside a quarter
-  // of a percentage point.
-  gates.push_back(
-      {"fast_vs_legacy_test_mpe_pp", std::abs(fast.test_mpe - legacy.test_mpe),
-       0.25});
-  gates.push_back({"fast_vs_legacy_test_nrmse_pp",
-                   std::abs(fast.test_nrmse - legacy.test_nrmse), 0.25});
-
-  // (e) the batched simulation kernels must replay their scalar oracles
-  // bit-for-bit: the run-length-segmented trace batch, the marker-bitmap
-  // profiler vs the Fenwick replica, and the SoA cache walk.
+  // (b) the batched simulation kernels must replay their scalar paths
+  // bit-for-bit: the run-length-segmented trace batch and the SoA cache
+  // walk.
   gates.push_back({"trace_batch_bit_identical",
                    trace_batch_identical ? 0.0 : 1.0, 0.0});
-  gates.push_back({"trace_profile_bit_identical",
-                   profile_identical ? 0.0 : 1.0, 0.0});
   gates.push_back({"cache_batch_bit_identical",
                    cache_batch_identical ? 0.0 : 1.0, 0.0});
 
-  // (f) the task-parallel orchestration layers must be byte-equivalent to
+  // (c) the task-parallel orchestration layers must be byte-equivalent to
   // their serial counterparts: the campaign's sequenced collector and the
   // flattened model-zoo batch.
   gates.push_back({"campaign_parallel_bit_identical",
@@ -1023,12 +732,12 @@ int main(int argc, char** argv) {
                      jobs_sweep_identical ? 0.0 : 1.0, 0.0});
   }
 
-  // (g) the store round-trip: models reloaded from the zoo bundle must be
+  // (d) the store round-trip: models reloaded from the zoo bundle must be
   // byte-identical to the freshly trained zoo (and nothing retrained).
   gates.push_back({"zoo_warm_start_bit_identical",
                    zoo_warm_identical ? 0.0 : 1.0, 0.0});
 
-  {  // (d) memoized contention solve must be bit-identical to a cold solve.
+  {  // (e) memoized contention solve must be bit-identical to a cold solve.
     const sim::ApplicationSpec cg = sim::find_application("cg");
     const std::vector<sim::ApplicationSpec> coapps(3, cg);
     const sim::RunMeasurement first =
@@ -1070,7 +779,7 @@ int main(int argc, char** argv) {
   std::printf("profile memo         : %llu hits / %llu misses\n",
               static_cast<unsigned long long>(memo_hits),
               static_cast<unsigned long long>(memo_misses));
-  const std::uint64_t fused_restarts =
+  const std::uint64_t restarts_trained =
       registry.counter("scg_fused_restarts_total").value();
   const obs::Histogram& train_gemm = registry.histogram("train_gemm_seconds");
   const std::uint64_t design_hits =
@@ -1079,7 +788,7 @@ int main(int argc, char** argv) {
       registry.counter("validation_design_memo_misses_total").value();
   std::printf("fused trainer        : %llu fused restarts, %.3f s in fused "
               "forward+backward (%llu fits)\n",
-              static_cast<unsigned long long>(fused_restarts),
+              static_cast<unsigned long long>(restarts_trained),
               train_gemm.sum(),
               static_cast<unsigned long long>(train_gemm.count()));
   std::printf("design memo          : %llu hits / %llu misses\n",
@@ -1101,7 +810,6 @@ int main(int argc, char** argv) {
        << "  \"timings_s\": {\n"
        << "    \"trace_generate\": " << generate_s << ",\n"
        << "    \"trace_profile\": " << profile_s << ",\n"
-       << "    \"trace_profile_legacy\": " << legacy_profile_s << ",\n"
        << "    \"campaign_serial\": " << campaign_serial_s << ",\n"
        << "    \"campaign_parallel\": " << campaign_s << ",\n"
        << "    \"zoo_serial\": " << zoo_serial_s << ",\n"
@@ -1110,9 +818,7 @@ int main(int argc, char** argv) {
        << "    \"zoo_load_warm\": " << zoo_warm_s << ",\n"
        << "    \"end_to_end_serial\": " << end_to_end_serial_s << ",\n"
        << "    \"end_to_end_parallel\": " << end_to_end_parallel_s << ",\n"
-       << "    \"validation_legacy\": " << legacy_s << ",\n"
-       << "    \"validation_fast\": " << fast_s << "\n  },\n"
-       << "  \"kernel_speedup\": " << kernel_speedup << ",\n"
+       << "    \"validation\": " << validation_s << "\n  },\n"
        << "  \"campaign_speedup\": " << campaign_speedup << ",\n";
     os << "  \"jobs_scaling\": [\n";
     for (std::size_t i = 0; i < jobs_scaling.size(); ++i) {
@@ -1128,16 +834,13 @@ int main(int argc, char** argv) {
        << "  \"zoo_bundle_digest\": \"" << saved.bundle_digest << "\",\n"
        << "  \"zoo_models_retrained\": " << warm.retrained.size() << ",\n"
        << "  \"end_to_end_speedup\": " << end_to_end_speedup << ",\n"
-       << "  \"validation_speedup\": " << speedup << ",\n"
-       << "  \"fast\": {\"test_mpe\": " << fast.test_mpe
-       << ", \"test_nrmse\": " << fast.test_nrmse << "},\n"
-       << "  \"legacy\": {\"test_mpe\": " << legacy.test_mpe
-       << ", \"test_nrmse\": " << legacy.test_nrmse << "},\n"
+       << "  \"validation_metrics\": {\"test_mpe\": " << validated.test_mpe
+       << ", \"test_nrmse\": " << validated.test_nrmse << "},\n"
        << "  \"solve_cache\": {\"hits\": " << hits << ", \"misses\": "
        << misses << ", \"hit_rate\": " << hit_rate << "},\n"
        << "  \"profile_memo\": {\"hits\": " << memo_hits << ", \"misses\": "
        << memo_misses << "},\n"
-       << "  \"training\": {\"scg_fused_restarts_total\": " << fused_restarts
+       << "  \"training\": {\"scg_fused_restarts_total\": " << restarts_trained
        << ", \"train_gemm_seconds_sum\": " << train_gemm.sum()
        << ", \"train_gemm_seconds_count\": " << train_gemm.count()
        << ", \"design_memo_hits\": " << design_hits

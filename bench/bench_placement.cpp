@@ -103,7 +103,8 @@ double predict_quantile(const obs::MetricsSnapshot& before,
 int main(int argc, char** argv) {
   using namespace coloc;
   const CliArgs args(argc, argv);
-  const bench::HarnessConfig config = bench::HarnessConfig::from_cli(args);
+  const bench::HarnessConfig config = bench::HarnessConfig::from_cli(
+      args, {"out", "nodes", "arrivals", "utilization"});
   const obs::ObsSession session(config.run_session());
   const std::string out_path = args.get("out", "BENCH_placement.json");
 

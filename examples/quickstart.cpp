@@ -20,11 +20,8 @@
 //                          (0 = auto; overrides COLOC_JOBS; output is
 //                          bit-identical at any value)
 //   --restarts=N           SCG restarts per MLP fit, in [1, 64] (default 1;
-//                          the winner is the lowest-loss restart, trained
-//                          through the fused batched kernels)
-//   --no-parallel-restarts pin fits to the historical serial restart loop
-//                          (no pool fan-out, no fused batched kernels);
-//                          the result is bit-identical either way
+//                          the winner is the lowest-loss restart, all
+//                          restarts trained together in batched kernels)
 //
 // Robustness flags (see the Robustness section in README.md):
 //   --fault-rate=P         inject measurement faults at rate P (also
@@ -39,6 +36,11 @@
 //   --zoo-in=DIR           reload the zoo bundle from DIR (corrupt or
 //                          missing entries are retrained on the spot) and
 //                          predict with its nn-F model instead of training
+//   --partitions=N         validation partitions (default 10)
+//   --abort-after-cells=N  simulate a crash: checkpoint and throw after N
+//                          measured campaign cells (0 = never)
+//
+// Any other `--flag` is rejected, naming the nearest flag above.
 #include <cstdio>
 #include <filesystem>
 #include <system_error>
@@ -60,6 +62,15 @@ int main(int argc, char** argv) {
   using namespace coloc;
 
   const CliArgs args(argc, argv);
+  try {
+    args.reject_unknown({"jobs", "metrics-out", "trace-out", "bundle-out",
+                         "fault-rate", "fault-kinds", "checkpoint",
+                         "checkpoint-every", "resume", "abort-after-cells",
+                         "restarts", "zoo-out", "zoo-in", "partitions"});
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "quickstart: %s\n", e.what());
+    return 2;
+  }
   const std::size_t jobs =
       static_cast<std::size_t>(args.get_int("jobs", 0));
   if (jobs != 0) set_configured_jobs(jobs);
@@ -142,10 +153,6 @@ int main(int argc, char** argv) {
     return 2;
   }
   zoo.mlp.restarts = static_cast<std::size_t>(restarts);
-  if (args.get_bool("no-parallel-restarts", false)) {
-    zoo.mlp.parallel_restarts = false;
-    zoo.mlp.fused_restarts = false;
-  }
   const core::ModelId model_id{core::ModelTechnique::kNeuralNetwork,
                                core::FeatureSet::kF};
 

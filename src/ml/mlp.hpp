@@ -25,24 +25,14 @@ struct MlpOptions {
   /// Restarts with different initializations; best training loss wins.
   /// Restart 0 draws from Rng(seed) exactly as a single fit does; restart
   /// k > 0 uses an independent stream derived from (seed, k), so results
-  /// do not depend on how many restarts run or in what order.
+  /// do not depend on how many restarts run.
   std::size_t restarts = 1;
-  /// Run restarts concurrently on global_pool(). Results are identical
-  /// either way (per-restart RNG streams; ties broken by lowest restart
-  /// index); the flag exists so tests can pin the serial path.
-  bool parallel_restarts = true;
-  /// Train all restarts through the fused batched-SCG path: one stacked
-  /// GEMM per layer serves every live restart per iteration, with
-  /// converged restarts masked out of the batch. Bit-identical to the
-  /// sequential restart loop at any restart count (see DESIGN §13); set
-  /// false (or COLOC_FUSED_RESTARTS=0 process-wide) to pin the sequential
-  /// reference path.
-  bool fused_restarts = true;
 };
 
-/// The bare network: packed parameters, forward pass, and the
-/// loss/gradient oracle consumed by the SCG trainer. Features and targets
-/// are assumed already standardized by the caller (MlpRegressor does this).
+/// The bare network: packed parameters, forward pass and loss. Features
+/// and targets are assumed already standardized by the caller
+/// (MlpRegressor does this). The gradient lives in the fused trainer
+/// (mlp_fused.cpp), which evaluates every restart's plane at once.
 class MlpNetwork {
  public:
   MlpNetwork(std::size_t inputs, std::size_t hidden);
@@ -67,24 +57,8 @@ class MlpNetwork {
   /// entries. Reuses per-thread scratch across calls.
   void forward_all(const linalg::Matrix& x, std::span<double> out) const;
 
-  /// Mean-squared-error loss over the batch plus 0.5*decay*||w||^2, and its
-  /// gradient with respect to the packed parameters (written into `grad`,
-  /// which must have num_parameters() entries). Batched fast path: the
-  /// activations matrix comes from one GEMM + vector_tanh, and the backward
-  /// pass is a single fused sweep over rows. Bit-identical to
-  /// loss_and_gradient_reference.
-  double loss_and_gradient(const linalg::Matrix& x,
-                           std::span<const double> y, double weight_decay,
-                           std::span<double> grad) const;
-
-  /// Reference oracle: the original row-at-a-time loop. Kept (and tested)
-  /// as the ground truth the batched path must reproduce exactly.
-  double loss_and_gradient_reference(const linalg::Matrix& x,
-                                     std::span<const double> y,
-                                     double weight_decay,
-                                     std::span<double> grad) const;
-
-  /// Loss only (used by SCG line evaluations).
+  /// Mean-squared-error loss over the batch plus 0.5*decay*||w||^2, one
+  /// forward() per row (scores each trained restart).
   double loss(const linalg::Matrix& x, std::span<const double> y,
               double weight_decay) const;
 
@@ -105,23 +79,15 @@ class MlpNetwork {
 /// with scaled conjugate gradient, and predicts in raw units.
 class MlpRegressor final : public Regressor {
  public:
+  /// Trains options.restarts networks with scaled conjugate gradient and
+  /// keeps the one with the lowest training loss (ties go to the lowest
+  /// restart index). Every restart's weight plane is stacked so each SCG
+  /// iteration runs one batched GEMM per layer for all live restarts, with
+  /// converged restarts masked out and a rejected step's gradient never
+  /// computed (DESIGN §13). Each restart's trajectory is the one it would
+  /// take trained alone, bit for bit.
   static MlpRegressor fit(const linalg::Matrix& x, std::span<const double> y,
                           const MlpOptions& options = {});
-
-  /// The fused batched multi-restart trainer: stacks every restart's weight
-  /// plane so each SCG iteration runs one batched GEMM per layer for all
-  /// live restarts, with per-restart early-stop masking and deferred
-  /// backward passes (a rejected step's gradient is never computed).
-  /// Bit-identical to fit() with fused_restarts = false at any restart
-  /// count. fit() routes here by default; exposed so benchmarks and tests
-  /// can race the two paths explicitly.
-  static MlpRegressor fit_fused(const linalg::Matrix& x,
-                                std::span<const double> y,
-                                const MlpOptions& options = {});
-
-  /// Process-wide kill switch for the fused path: false when
-  /// COLOC_FUSED_RESTARTS is set to 0/off/false/no, true otherwise.
-  static bool fused_path_enabled();
 
   double predict(std::span<const double> features) const override;
   /// Batched inference: standardizes the design matrix once and runs the

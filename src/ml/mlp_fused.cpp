@@ -1,21 +1,22 @@
-// Fused multi-restart MLP training (DESIGN §13).
+// Fused multi-restart MLP training (DESIGN §13): MlpRegressor::fit.
 //
-// MlpRegressor::fit_fused stacks every restart's layer weights into one
-// wide plane so each SCG iteration runs ONE batched GEMM per layer for all
-// live restarts, instead of R separate small evaluations. The batched
-// lockstep driver (scg_minimize_batch) masks converged restarts out of the
-// active set, and splits evaluation into forward / deferred-backward
-// phases so a rejected trial step never pays for a gradient it would
-// discard.
+// fit stacks every restart's layer weights into one wide plane so each SCG
+// iteration runs ONE batched GEMM per layer for all live restarts, instead
+// of R separate small evaluations. The batched lockstep minimizer
+// (scg_minimize_batch) masks converged restarts out of the active set, and
+// splits evaluation into forward / deferred-backward phases so a rejected
+// trial step never pays for a gradient it would discard.
 //
-// Bit-identity with the sequential fit is structural, not approximate:
+// Bit-identity with training each restart alone (the sequential restart
+// loop over the row-at-a-time loss/gradient, kept as a test oracle in
+// tests/oracles) is structural, not approximate:
 //  - Stacking restarts along the column axis never reorders any single
 //    element's accumulation chain (gemm_batch.hpp), and vector_tanh is
 //    bit-identical to scalar fast_tanh per element at any array length.
 //  - The row kernels (mlp_fused_kernels.hpp) write every statement (output
 //    reduction, error, loss terms, d_out / d_a, each gradient
-//    accumulation) lane-wise with the exact expression shape of
-//    MlpNetwork::loss_and_gradient, and every accumulator adds its per-row
+//    accumulation) lane-wise with the exact expression shape of the
+//    row-at-a-time reference loop, and every accumulator adds its per-row
 //    terms in the reference order (rows ascending).
 //  - The W1 gradient accumulates into a transposed scratch plane (inputs x
 //    stacked-hidden, contiguous along the wide axis) and is transposed out
@@ -23,10 +24,8 @@
 //    accumulated element is stored, with no arithmetic consequence.
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
 #include <cstring>
 #include <limits>
-#include <string>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
@@ -87,7 +86,7 @@ void gw1t_rows(const double* x, std::size_t inputs, const double* da,
 
 namespace {
 
-// Per-fit training timers, each observed once per fit_fused call.
+// Per-fit training timers, each observed once per fit call.
 // train_gemm_seconds is the whole fused forward + backward (it predates the
 // per-phase split and keeps its name for the obs_report gate); the phase
 // histograms partition it: gather + GEMM, tanh, output layer + loss, and
@@ -263,7 +262,7 @@ class FusedEvaluator {
 
     // Scatter the stacked accumulators back into each restart's packed
     // gradient row, then apply the weight-decay term exactly as the
-    // sequential path's trailing pass does.
+    // reference loop's trailing pass does.
     for (std::size_t b = 0; b < planes; ++b) {
       const std::size_t j = active[b];
       double* gj = grads.data() + j * n_;
@@ -319,19 +318,9 @@ class FusedEvaluator {
 
 }  // namespace
 
-bool MlpRegressor::fused_path_enabled() {
-  static const bool on = [] {
-    const char* env = std::getenv("COLOC_FUSED_RESTARTS");
-    if (env == nullptr) return true;
-    const std::string v(env);
-    return !(v == "0" || v == "off" || v == "false" || v == "no");
-  }();
-  return on;
-}
-
-MlpRegressor MlpRegressor::fit_fused(const linalg::Matrix& x,
-                                     std::span<const double> y,
-                                     const MlpOptions& options) {
+MlpRegressor MlpRegressor::fit(const linalg::Matrix& x,
+                               std::span<const double> y,
+                               const MlpOptions& options) {
   COLOC_CHECK_MSG(x.rows() == y.size(), "row/target count mismatch");
   COLOC_CHECK_MSG(x.rows() >= 2, "MLP needs at least two observations");
 
@@ -343,8 +332,9 @@ MlpRegressor MlpRegressor::fit_fused(const linalg::Matrix& x,
 
   const std::size_t restarts = std::max<std::size_t>(1, options.restarts);
 
-  // Identical initialization to the sequential path: restart 0 draws from
-  // Rng(options.seed), restart k > 0 from the (seed, k)-derived stream.
+  // Restart 0 draws from Rng(options.seed), restart k > 0 from the
+  // (seed, k)-derived stream, so each restart's start is a pure function of
+  // its index.
   MlpNetwork net(x.cols(), options.hidden_units);
   const std::size_t n = net.num_parameters();
   std::vector<double> initial(restarts * n);
@@ -382,8 +372,7 @@ MlpRegressor MlpRegressor::fit_fused(const linalg::Matrix& x,
       scg_minimize_batch(objective, initial, scg_options);
   evaluator.phase_seconds().observe();
 
-  // Final per-restart loss via the scalar loss() — the exact evaluation
-  // the sequential path scores attempts with — then the strict-< scan:
+  // Final per-restart loss via the scalar loss(), then the strict-< scan:
   // ties go to the lowest restart index.
   std::vector<double> final_loss(restarts,
                                  std::numeric_limits<double>::infinity());

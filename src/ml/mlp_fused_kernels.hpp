@@ -10,8 +10,9 @@
 // target and run every variant the host supports, not just the one the
 // loader picks. They must be compiled with -ffp-contract=off (as
 // mlp_fused.cpp is): each lane then replays exactly the scalar statement
-// MlpNetwork::loss_and_gradient writes for that element, in the same
-// order, so no variant differs from the sequential trainer in any bit.
+// the row-at-a-time reference loop (tests/oracles/mlp_reference.cpp)
+// writes for that element, in the same order, so no variant differs from
+// training each restart alone in any bit.
 //
 // Every kernel reads and writes only inside the extents its arguments
 // describe: rows [0, m) and columns [0, width). Ragged widths use the

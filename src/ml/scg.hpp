@@ -3,7 +3,9 @@
 // The paper trains its neural networks with "a scaled conjugate gradient
 // numerical method" (Section III-D); this is a faithful implementation of
 // Møller's algorithm: conjugate directions with a Levenberg-Marquardt style
-// scaling that avoids explicit line searches.
+// scaling that avoids explicit line searches. The minimizer runs many
+// independent problems in lockstep so their evaluations batch; the
+// one-problem loop it reproduces lives in tests/oracles as the reference.
 #pragma once
 
 #include <cstddef>
@@ -13,13 +15,6 @@
 #include <vector>
 
 namespace coloc::ml {
-
-/// Differentiable objective: fills `grad` and returns the value at `p`.
-struct ScgObjective {
-  std::size_t dimension = 0;
-  std::function<double(std::span<const double> p, std::span<double> grad)>
-      value_and_gradient;
-};
 
 struct ScgOptions {
   std::size_t max_iterations = 300;
@@ -44,12 +39,6 @@ struct ScgResult {
   std::size_t iterations = 0;
   bool converged = false;
 };
-
-/// Minimizes the objective starting from `initial` (size must match
-/// objective.dimension).
-ScgResult scg_minimize(const ScgObjective& objective,
-                       std::span<const double> initial,
-                       const ScgOptions& options = {});
 
 /// Batched objective over `count` independent optimization problems that
 /// share one dimension (the fused multi-restart MLP trainer stacks all
@@ -80,8 +69,8 @@ struct ScgBatchObjective {
 /// iterations, evaluating all still-active problems through one batched
 /// forward/backward pair per phase. Every problem's trajectory — each
 /// iterate, the accept/reject sequence, the damping schedule, the recorded
-/// iteration count — is identical to running scg_minimize on it alone,
-/// because each evaluation is a pure function of that problem's own
+/// iteration count — is identical to running Møller's one-problem loop on
+/// it alone, because each evaluation is a pure function of that problem's own
 /// parameters; converged problems simply leave the active set (early-stop
 /// masking) without perturbing the survivors. `initial` is count x
 /// dimension, row-major.

@@ -23,8 +23,8 @@
 // reuse's histogram increment in an 8-entry ring, prefetching the bucket
 // and applying it 8 references later; the ring drains before every call
 // returns. Distances are exact integers and increments commute, so results
-// are bit-identical to the Fenwick formulation (kept below as FenwickTree
-// for tests and oracle replicas).
+// are bit-identical to the Fenwick-tree formulation (a test oracle in
+// tests/oracles).
 #pragma once
 
 #include <cstdint>
@@ -35,24 +35,6 @@
 #include "sim/trace.hpp"
 
 namespace coloc::sim {
-
-/// Binary indexed tree over reference timestamps; supports point update and
-/// prefix sum in O(log n). No longer on the profiling hot path — retained
-/// as the reference formulation for tests and benchmark oracles.
-class FenwickTree {
- public:
-  explicit FenwickTree(std::size_t n) : tree_(n + 1, 0) {}
-
-  void add(std::size_t index, std::int64_t delta);
-  /// Sum of entries [0, index].
-  std::int64_t prefix_sum(std::size_t index) const;
-  /// Sum of entries [lo, hi].
-  std::int64_t range_sum(std::size_t lo, std::size_t hi) const;
-  std::size_t size() const { return tree_.size() - 1; }
-
- private:
-  std::vector<std::int64_t> tree_;
-};
 
 /// Marker for a cold (first-touch) reference.
 inline constexpr std::uint64_t kColdMiss =

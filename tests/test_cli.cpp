@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <string_view>
+#include <vector>
+
+#include "common/error.hpp"
+
 namespace coloc {
 namespace {
 
@@ -66,6 +72,46 @@ TEST(Cli, FlagFollowedByFlagIsBoolean) {
   const auto args = make({"prog", "--a", "--b=2"});
   EXPECT_TRUE(args.get_bool("a", false));
   EXPECT_EQ(args.get_int("b", 0), 2);
+}
+
+/// The message reject_unknown() throws for `args`, or "" when it accepts.
+std::string rejection(const CliArgs& args,
+                      const std::vector<std::string_view>& declared) {
+  try {
+    args.reject_unknown(declared);
+  } catch (const invalid_argument_error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(Cli, RejectsRemovedRestartFlag) {
+  const auto args =
+      make({"prog", "--partitions=20", "--no-parallel-restarts"});
+  const std::string message =
+      rejection(args, {"partitions", "restarts", "jobs"});
+  EXPECT_NE(message.find("--no-parallel-restarts"), std::string::npos)
+      << message;
+  EXPECT_NE(message.find("--restarts"), std::string::npos) << message;
+}
+
+TEST(Cli, UnknownFlagSuggestsNearestDeclared) {
+  const auto args = make({"prog", "--partition=100"});
+  const std::string message =
+      rejection(args, {"jobs", "partitions", "seed", "restarts"});
+  EXPECT_NE(message.find("--partition "), std::string::npos) << message;
+  EXPECT_NE(message.find("--partitions)"), std::string::npos) << message;
+}
+
+TEST(Cli, DeclaredFlagsParseInAllThreeForms) {
+  const auto args =
+      make({"prog", "--partitions=100", "--out", "x.json", "--quick"});
+  EXPECT_EQ(rejection(args, {"partitions", "out", "quick", "jobs"}), "");
+  EXPECT_EQ(args.get_int("partitions", 0), 100);
+  EXPECT_EQ(args.get("out", ""), "x.json");
+  EXPECT_TRUE(args.get_bool("quick", false));
+  // Positional arguments are not flags and are never rejected.
+  EXPECT_EQ(rejection(make({"prog", "input.csv"}), {}), "");
 }
 
 }  // namespace

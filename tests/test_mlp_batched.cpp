@@ -1,17 +1,19 @@
-// Equivalence tests for the batched MLP fast paths introduced alongside
-// the blocked linalg kernels: the GEMM-based forward/backward must be
-// bit-identical to the rowwise reference loops, batched prediction must
-// match per-row prediction, and parallel restarts must not change results.
+// Equivalence tests for the batched MLP paths: the GEMM-based forward
+// pass must be bit-identical to the rowwise loop, batched prediction must
+// match per-row prediction, and the fused multi-restart trainer (fit) must
+// reproduce the sequential restart loop of tests/oracles bit for bit.
 #include "ml/mlp.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "linalg/matrix.hpp"
+#include "oracles/mlp_reference.hpp"
 
 namespace coloc::ml {
 namespace {
@@ -20,50 +22,6 @@ linalg::Matrix random_matrix(std::size_t rows, std::size_t cols, Rng& rng) {
   linalg::Matrix m(rows, cols);
   for (double& v : m.data()) v = rng.uniform(-2.0, 2.0);
   return m;
-}
-
-std::vector<double> random_vector(std::size_t n, Rng& rng) {
-  std::vector<double> v(n);
-  for (double& x : v) x = rng.uniform(-1.5, 1.5);
-  return v;
-}
-
-TEST(MlpBatchedTest, LossAndGradientMatchesReferenceExactly) {
-  Rng rng(101);
-  const std::size_t shapes[][3] = {  // {rows, inputs, hidden}
-      {2, 1, 1}, {7, 3, 5}, {33, 11, 13}, {64, 8, 20}, {129, 5, 17}};
-  for (const auto& s : shapes) {
-    const linalg::Matrix x = random_matrix(s[0], s[1], rng);
-    const std::vector<double> y = random_vector(s[0], rng);
-    MlpNetwork net(s[1], s[2]);
-    Rng init(202);
-    net.initialize(init);
-    std::vector<double> g_fast(net.num_parameters());
-    std::vector<double> g_ref(net.num_parameters());
-    const double l_fast = net.loss_and_gradient(x, y, 1e-6, g_fast);
-    const double l_ref = net.loss_and_gradient_reference(x, y, 1e-6, g_ref);
-    // Bit-identical, not merely close: the batched path accumulates every
-    // element in the reference loop's exact order.
-    ASSERT_EQ(l_fast, l_ref) << s[0] << "/" << s[1] << "/" << s[2];
-    for (std::size_t i = 0; i < g_fast.size(); ++i)
-      ASSERT_EQ(g_fast[i], g_ref[i])
-          << s[0] << "/" << s[1] << "/" << s[2] << " grad " << i;
-  }
-}
-
-TEST(MlpBatchedTest, LossAndGradientMatchesWithZeroWeightDecay) {
-  Rng rng(103);
-  const linalg::Matrix x = random_matrix(21, 7, rng);
-  const std::vector<double> y = random_vector(21, rng);
-  MlpNetwork net(7, 9);
-  Rng init(204);
-  net.initialize(init);
-  std::vector<double> g_fast(net.num_parameters());
-  std::vector<double> g_ref(net.num_parameters());
-  ASSERT_EQ(net.loss_and_gradient(x, y, 0.0, g_fast),
-            net.loss_and_gradient_reference(x, y, 0.0, g_ref));
-  for (std::size_t i = 0; i < g_fast.size(); ++i)
-    ASSERT_EQ(g_fast[i], g_ref[i]);
 }
 
 TEST(MlpBatchedTest, ForwardAllMatchesRowwiseForward) {
@@ -96,31 +54,20 @@ TEST(MlpBatchedTest, PredictAllMatchesPerRowPredict) {
     ASSERT_EQ(batched[r], model.predict(queries.row(r))) << "row " << r;
 }
 
-TEST(MlpBatchedTest, ParallelRestartsMatchSerialRestarts) {
-  // Each restart is a pure function of (seed, restart index), so the
-  // trained model must be identical whether restarts run on the pool or
-  // inline — and regardless of how many workers the host has.
-  Rng rng(109);
-  const linalg::Matrix x = random_matrix(48, 5, rng);
-  std::vector<double> y(x.rows());
-  for (std::size_t r = 0; r < x.rows(); ++r)
-    y[r] = x(r, 1) * x(r, 2) - 0.5 * x(r, 4);
-
-  MlpOptions serial;
-  serial.hidden_units = 6;
-  serial.max_iterations = 120;
-  serial.restarts = 3;
-  serial.parallel_restarts = false;
-  MlpOptions parallel = serial;
-  parallel.parallel_restarts = true;
-
-  const MlpRegressor a = MlpRegressor::fit(x, y, serial);
-  const MlpRegressor b = MlpRegressor::fit(x, y, parallel);
-  ASSERT_EQ(a.training_loss(), b.training_loss());
-  const auto pa = a.network().parameters();
+/// fit() must equal the sequential oracle in every bit: the winner's
+/// training loss, its iteration count and every parameter.
+void expect_matches_sequential(const linalg::Matrix& x,
+                               std::span<const double> y,
+                               const MlpOptions& options) {
+  const oracles::SequentialFit a = oracles::sequential_fit(x, y, options);
+  const MlpRegressor b = MlpRegressor::fit(x, y, options);
+  ASSERT_EQ(a.training_loss, b.training_loss());
+  ASSERT_EQ(a.iterations, b.iterations_used());
+  const auto pa = a.net.parameters();
   const auto pb = b.network().parameters();
   ASSERT_EQ(pa.size(), pb.size());
-  for (std::size_t i = 0; i < pa.size(); ++i) ASSERT_EQ(pa[i], pb[i]);
+  for (std::size_t i = 0; i < pa.size(); ++i)
+    ASSERT_EQ(pa[i], pb[i]) << "parameter " << i;
 }
 
 TEST(MlpBatchedTest, FusedRestartsBitIdenticalToSequential) {
@@ -136,23 +83,11 @@ TEST(MlpBatchedTest, FusedRestartsBitIdenticalToSequential) {
 
   for (const std::size_t restarts : {1u, 2u, 7u, 16u}) {
     SCOPED_TRACE(restarts);
-    MlpOptions sequential;
-    sequential.hidden_units = 6;
-    sequential.max_iterations = 90;
-    sequential.restarts = restarts;
-    sequential.fused_restarts = false;
-    sequential.parallel_restarts = false;
-    MlpOptions fused = sequential;
-    fused.fused_restarts = true;
-
-    const MlpRegressor a = MlpRegressor::fit(x, y, sequential);
-    const MlpRegressor b = MlpRegressor::fit_fused(x, y, fused);
-    ASSERT_EQ(a.training_loss(), b.training_loss());
-    const auto pa = a.network().parameters();
-    const auto pb = b.network().parameters();
-    ASSERT_EQ(pa.size(), pb.size());
-    for (std::size_t i = 0; i < pa.size(); ++i)
-      ASSERT_EQ(pa[i], pb[i]) << "parameter " << i;
+    MlpOptions options;
+    options.hidden_units = 6;
+    options.max_iterations = 90;
+    options.restarts = restarts;
+    expect_matches_sequential(x, y, options);
   }
 }
 
@@ -172,24 +107,11 @@ TEST(MlpBatchedTest, FusedMatchesSequentialAtZooWidths) {
         SCOPED_TRACE(std::to_string(rows) + " rows, " +
                      std::to_string(inputs) + " inputs, " +
                      std::to_string(restarts) + " restarts");
-        MlpOptions sequential;
-        sequential.hidden_units = 10 + (inputs - 1) * 10 / 7;
-        sequential.max_iterations = 60;
-        sequential.restarts = restarts;
-        sequential.fused_restarts = false;
-        sequential.parallel_restarts = false;
-        MlpOptions fused = sequential;
-        fused.fused_restarts = true;
-
-        const MlpRegressor a = MlpRegressor::fit(x, y, sequential);
-        const MlpRegressor b = MlpRegressor::fit_fused(x, y, fused);
-        ASSERT_EQ(a.training_loss(), b.training_loss());
-        ASSERT_EQ(a.iterations_used(), b.iterations_used());
-        const auto pa = a.network().parameters();
-        const auto pb = b.network().parameters();
-        ASSERT_EQ(pa.size(), pb.size());
-        for (std::size_t i = 0; i < pa.size(); ++i)
-          ASSERT_EQ(pa[i], pb[i]) << "parameter " << i;
+        MlpOptions options;
+        options.hidden_units = 10 + (inputs - 1) * 10 / 7;
+        options.max_iterations = 60;
+        options.restarts = restarts;
+        expect_matches_sequential(x, y, options);
       }
     }
   }
@@ -207,24 +129,12 @@ TEST(MlpBatchedTest, FusedEarlyStopMaskingMatchesSequential) {
   for (std::size_t r = 0; r < x.rows(); ++r)
     y[r] = 1.0 + 2.0 * x(r, 0) - 0.3 * x(r, 1);
 
-  MlpOptions sequential;
-  sequential.hidden_units = 4;
-  sequential.max_iterations = 4000;
-  sequential.gradient_tolerance = 1e-3;  // loose: restarts stop early
-  sequential.restarts = 5;
-  sequential.fused_restarts = false;
-  sequential.parallel_restarts = false;
-  MlpOptions fused = sequential;
-  fused.fused_restarts = true;
-
-  const MlpRegressor a = MlpRegressor::fit(x, y, sequential);
-  const MlpRegressor b = MlpRegressor::fit_fused(x, y, fused);
-  ASSERT_EQ(a.training_loss(), b.training_loss());
-  const auto pa = a.network().parameters();
-  const auto pb = b.network().parameters();
-  ASSERT_EQ(pa.size(), pb.size());
-  for (std::size_t i = 0; i < pa.size(); ++i)
-    ASSERT_EQ(pa[i], pb[i]) << "parameter " << i;
+  MlpOptions options;
+  options.hidden_units = 4;
+  options.max_iterations = 4000;
+  options.gradient_tolerance = 1e-3;  // loose: restarts stop early
+  options.restarts = 5;
+  expect_matches_sequential(x, y, options);
 }
 
 TEST(MlpBatchedTest, SingleRestartUnchangedByRestartCount) {

@@ -5,8 +5,8 @@
 // sits flush against a PROT_NONE page: a read or write one element past
 // the end faults deterministically instead of landing in whatever the
 // allocator placed next. Each kernel runs against a scalar reference
-// written with the statements of MlpNetwork::loss_and_gradient, and the
-// results must match bit for bit.
+// written with the statements of oracles::loss_and_gradient_reference, and
+// the results must match bit for bit.
 //
 // The row kernels run once per instruction-set variant the host supports:
 // the bodies are compiled here under each target_clones target of
@@ -128,7 +128,7 @@ std::vector<std::size_t> hidden_widths() {
 constexpr std::size_t kMaxInputs = 8;
 constexpr std::size_t kMaxPlanes = 3;
 
-// Scalar references: the statements of MlpNetwork::loss_and_gradient.
+// Scalar references: the statements of oracles::loss_and_gradient_reference.
 
 double output_reference(const double* act, std::size_t as, const double* w2,
                         double b2, std::size_t hidden, std::size_t m,

@@ -219,12 +219,13 @@ TEST(ParallelZoo, AllTwelveModelsIdenticalAcrossJobCounts) {
 }
 
 TEST(ParallelZoo, FusedMultiRestartZooIdenticalToSequentialLoop) {
-  // The bench's zoo race at test scale: the historical sequential restart
-  // loop with serial validation scheduling versus the fused batched
-  // trainer on the flat model x partition task graph with 4 workers.
-  // Every metric of every model must match bit for bit — this is the
-  // tentpole's end-to-end identity guarantee, and under TSan it races
-  // concurrent fused fits against the in-order commit path.
+  // The bench's zoo race at test scale, a scheduler identity check: the
+  // fused multi-restart trainer under serial validation scheduling (one
+  // sequential loop over models and partitions) versus the same trainer on
+  // the flat model x partition task graph with 4 workers. Every metric of
+  // every model must match bit for bit; under TSan this races concurrent
+  // fused fits against the in-order commit path. Each fit's identity with
+  // the sequential restart loop is MlpBatchedTest.FusedMatchesSequential*.
   const CampaignResult campaign = run_with(1);
 
   EvaluationConfig sequential_config;
@@ -232,14 +233,10 @@ TEST(ParallelZoo, FusedMultiRestartZooIdenticalToSequentialLoop) {
   sequential_config.validation.parallel = false;
   sequential_config.zoo.mlp.max_iterations = 60;
   sequential_config.zoo.mlp.restarts = 3;
-  sequential_config.zoo.mlp.fused_restarts = false;
-  sequential_config.zoo.mlp.parallel_restarts = false;
 
   EvaluationConfig fused_config = sequential_config;
   fused_config.validation.parallel = true;
   fused_config.validation.jobs = 4;
-  fused_config.zoo.mlp.fused_restarts = true;
-  fused_config.zoo.mlp.parallel_restarts = true;
 
   const EvaluationSuite sequential =
       evaluate_model_zoo(campaign.dataset, sequential_config);

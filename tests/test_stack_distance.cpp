@@ -10,11 +10,14 @@
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "oracles/fenwick_tree.hpp"
 #include "sim/cache.hpp"
 #include "sim/trace.hpp"
 
 namespace coloc::sim {
 namespace {
+
+using oracles::FenwickTree;
 
 TEST(Fenwick, PrefixSums) {
   FenwickTree t(8);

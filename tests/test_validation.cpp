@@ -2,9 +2,10 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <memory>
 #include <set>
+#include <span>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "ml/linear_model.hpp"
@@ -249,8 +250,9 @@ TEST(Validation, GatheredDesignMatrixMatchesDirectMaterialization) {
 TEST(Validation, DesignMemoIsTransparentAndHitsOnSharedColumns) {
   // Two batch jobs over the same columns and seed gather identical
   // train/test splits; the design memo shares one gathered copy. It must
-  // be invisible: every number byte-identical with COLOC_DESIGN_MEMO=0,
-  // and the hit/miss counters prove when it engaged.
+  // be invisible: every number byte-identical to running each job in its
+  // own batch call (where nothing is shared), and the hit/miss counters
+  // prove when it engaged.
   const Dataset ds = linear_dataset(60, 0.05, 21);
   const std::vector<std::size_t> cols{0, 1};
   ValidationOptions opts;
@@ -259,12 +261,7 @@ TEST(Validation, DesignMemoIsTransparentAndHitsOnSharedColumns) {
   // both twins of a pair can race to a miss (first writer wins, results
   // unchanged) and the counter assertions below would be flaky.
   opts.parallel = false;
-  auto make_jobs = [&] {
-    std::vector<ValidationJob> jobs;
-    jobs.push_back({cols, linear_factory(), opts});
-    jobs.push_back({cols, linear_factory(), opts});
-    return jobs;
-  };
+  const ValidationJob job{cols, linear_factory(), opts};
 
   auto& registry = obs::Registry::global();
   auto& hit_counter =
@@ -274,28 +271,28 @@ TEST(Validation, DesignMemoIsTransparentAndHitsOnSharedColumns) {
 
   const std::uint64_t hits_before = hit_counter.value();
   const std::uint64_t misses_before = miss_counter.value();
-  const std::vector<ValidationResult> memo_on =
-      repeated_subsampling_validation_batch(ds, make_jobs());
+  const std::vector<ValidationJob> twins{job, job};
+  const std::vector<ValidationResult> shared =
+      repeated_subsampling_validation_batch(ds, twins);
   // 10 tasks over 5 unique (columns, partition) splits: 5 misses, 5 hits.
   EXPECT_EQ(hit_counter.value() - hits_before, 5u);
   EXPECT_EQ(miss_counter.value() - misses_before, 5u);
 
-  ::setenv("COLOC_DESIGN_MEMO", "0", 1);
-  const std::uint64_t hits_mid = hit_counter.value();
-  const std::vector<ValidationResult> memo_off =
-      repeated_subsampling_validation_batch(ds, make_jobs());
-  ::unsetenv("COLOC_DESIGN_MEMO");
-  EXPECT_EQ(hit_counter.value(), hits_mid);  // disabled: no lookups
-
-  ASSERT_EQ(memo_off.size(), memo_on.size());
-  for (std::size_t j = 0; j < memo_on.size(); ++j) {
+  ASSERT_EQ(shared.size(), 2u);
+  for (std::size_t j = 0; j < shared.size(); ++j) {
     SCOPED_TRACE(j);
-    EXPECT_EQ(memo_off[j].train_mpe, memo_on[j].train_mpe);
-    EXPECT_EQ(memo_off[j].test_mpe, memo_on[j].test_mpe);
-    EXPECT_EQ(memo_off[j].train_nrmse, memo_on[j].train_nrmse);
-    EXPECT_EQ(memo_off[j].test_nrmse, memo_on[j].test_nrmse);
-    EXPECT_EQ(memo_off[j].test_mpe_stddev, memo_on[j].test_mpe_stddev);
-    EXPECT_EQ(memo_off[j].test_nrmse_stddev, memo_on[j].test_nrmse_stddev);
+    const std::uint64_t hits_alone = hit_counter.value();
+    const std::vector<ValidationResult> alone =
+        repeated_subsampling_validation_batch(
+            ds, std::span<const ValidationJob>(&job, 1));
+    EXPECT_EQ(hit_counter.value(), hits_alone);  // nothing to share
+    ASSERT_EQ(alone.size(), 1u);
+    EXPECT_EQ(alone[0].train_mpe, shared[j].train_mpe);
+    EXPECT_EQ(alone[0].test_mpe, shared[j].test_mpe);
+    EXPECT_EQ(alone[0].train_nrmse, shared[j].train_nrmse);
+    EXPECT_EQ(alone[0].test_nrmse, shared[j].test_nrmse);
+    EXPECT_EQ(alone[0].test_mpe_stddev, shared[j].test_mpe_stddev);
+    EXPECT_EQ(alone[0].test_nrmse_stddev, shared[j].test_nrmse_stddev);
   }
 }
 
