@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -167,8 +168,10 @@ TEST_F(EventSimTest, CapacityNeverExceedsCoresPerNode) {
   std::vector<std::vector<std::pair<double, int>>> events(2);
   for (std::size_t i = 0; i < out.jobs.size(); ++i) {
     const JobOutcome& job = out.jobs[i];
+    ASSERT_LT(job.node, events.size()) << i;
     EXPECT_GE(job.start_s, job.arrival_s) << i;
     EXPECT_GT(job.finish_s, job.start_s) << i;
+    EXPECT_GE(job.slowdown, 0.999) << i;
     queued = queued || job.start_s > job.arrival_s;
     events[job.node].push_back({job.start_s, +1});
     events[job.node].push_back({job.finish_s, -1});
@@ -313,6 +316,96 @@ TEST_F(EventSimTest, MisalignedCatalogRejected) {
   std::swap(shuffled[0], shuffled[1]);
   EXPECT_THROW(EventSimulator(sim_config(2), library_, shuffled, &service,
                               &campaign_->baselines),
+               coloc::runtime_error);
+}
+
+// Small-fleet placement cases: queueing, spreading, packing and argument
+// checks, on the same trained predictor and campaign as EventSimTest.
+using ClusterTest = EventSimTest;
+
+TEST_F(ClusterTest, QueueingHappensWhenCoresExhausted) {
+  // 1 node x 4 cores, 6 simultaneous jobs: two must wait.
+  PlacementService service = make_service(predictor_);
+  EventSimulator sim(sim_config(1), library_, tiny_suite(), &service,
+                     &campaign_->baselines);
+  const std::vector<Job> jobs(6, Job{3, 0.0});
+  const ReplayOutcome out =
+      sim.replay(jobs, sched::PlacementPolicy::kFirstFit);
+  std::size_t waited = 0;
+  for (const JobOutcome& job : out.jobs) {
+    if (job.start_s > job.arrival_s) ++waited;
+  }
+  EXPECT_EQ(waited, 2u);
+  EXPECT_GT(out.mean_wait_s, 0.0);
+}
+
+TEST_F(ClusterTest, LeastLoadedSpreadsAcrossNodes) {
+  PlacementService service = make_service(predictor_);
+  EventSimulator sim(sim_config(4), library_, tiny_suite(), &service,
+                     &campaign_->baselines);
+  const std::vector<Job> jobs(4, Job{0, 0.0});
+  const ReplayOutcome out =
+      sim.replay(jobs, sched::PlacementPolicy::kLeastLoaded);
+  std::set<std::uint32_t> used;
+  for (const JobOutcome& job : out.jobs) used.insert(job.node);
+  EXPECT_EQ(used.size(), 4u);
+  EXPECT_NEAR(out.mean_slowdown, 1.0, 0.02);
+}
+
+TEST_F(ClusterTest, FirstFitPacksOneNode) {
+  PlacementService service = make_service(predictor_);
+  EventSimulator sim(sim_config(4), library_, tiny_suite(), &service,
+                     &campaign_->baselines);
+  const std::vector<Job> jobs(4, Job{1, 0.0});
+  const ReplayOutcome out =
+      sim.replay(jobs, sched::PlacementPolicy::kFirstFit);
+  std::set<std::uint32_t> used;
+  for (const JobOutcome& job : out.jobs) used.insert(job.node);
+  EXPECT_EQ(used.size(), 1u);
+}
+
+TEST_F(ClusterTest, EmptyJobListYieldsEmptyOutcome) {
+  PlacementService service = make_service(predictor_);
+  EventSimulator sim(sim_config(1), library_, tiny_suite(), &service,
+                     &campaign_->baselines);
+  const ReplayOutcome out = sim.replay({}, sched::PlacementPolicy::kFirstFit);
+  EXPECT_TRUE(out.jobs.empty());
+  EXPECT_EQ(out.makespan_s, 0.0);
+  EXPECT_EQ(out.total_energy_j, 0.0);
+}
+
+TEST_F(ClusterTest, ZeroInterarrivalMeansSimultaneous) {
+  const std::vector<Job> jobs = make_job_stream(4, 5, 0.0, 1);
+  ASSERT_EQ(jobs.size(), 5u);
+  for (const Job& job : jobs) EXPECT_EQ(job.arrival_s, 0.0);
+}
+
+TEST_F(ClusterTest, InvalidConfigRejected) {
+  PlacementService service = make_service(predictor_);
+  EXPECT_THROW(EventSimulator(sim_config(0), library_, tiny_suite(),
+                              &service),
+               coloc::runtime_error);
+  EventSimConfig bad_pstate = sim_config(1);
+  bad_pstate.pstate_index = 99;
+  EXPECT_THROW(EventSimulator(bad_pstate, library_, tiny_suite(), &service),
+               coloc::runtime_error);
+  EXPECT_THROW(EventSimulator(sim_config(1), nullptr, tiny_suite(),
+                              &service),
+               coloc::runtime_error);
+  EXPECT_THROW(EventSimulator(sim_config(1), library_, tiny_suite(),
+                              nullptr),
+               coloc::runtime_error);
+}
+
+TEST_F(ClusterTest, InterferenceAwareNeedsPredictor) {
+  // The model-driven policies need a predictor behind the service (checked
+  // at construction) and, for the DVFS leg, the baseline library (checked
+  // at replay).
+  EXPECT_THROW(PlacementService(nullptr), coloc::runtime_error);
+  PlacementService service = make_service(predictor_);
+  EventSimulator sim(sim_config(2), library_, tiny_suite(), &service);
+  const std::vector<Job> jobs = {{0, 0.0}};
+  EXPECT_THROW(sim.replay(jobs, sched::PlacementPolicy::kDvfsAware),
                coloc::runtime_error);
 }
 

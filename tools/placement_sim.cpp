@@ -3,7 +3,7 @@
 //
 //   placement_sim [--nodes=64] [--arrivals=50000] [--policy=all]
 //                 [--seed=7] [--jobs=N] [--zoo-in=DIR] [--bundle-out=DIR]
-//                 [--utilization=0.8]
+//                 [--utilization=0.5] [--metrics-out=FILE] [--trace-out=FILE]
 //
 // Builds the demo fleet pipeline (quick campaign -> nn-F predictor; with
 // --zoo-in the predictor is reloaded from that crash-safe zoo bundle,
@@ -15,7 +15,8 @@
 //
 // --policy takes one to_string(PlacementPolicy) token ("first-fit",
 // "least-loaded", "interference-aware", "dvfs-aware") or "all"; unknown
-// tokens exit 2 listing the accepted values.
+// tokens exit 2 listing the accepted values. An undeclared flag exits 2
+// naming the nearest declared one (--arrival=10 -> --arrivals).
 //
 // Per-policy mean slowdown and deadline-miss gauges land in the metrics
 // snapshot and manifest extras, so a --bundle-out bundle diffs under
@@ -32,7 +33,7 @@
 #include "obs/manifest.hpp"
 #include "obs/metrics.hpp"
 #include "obs/session.hpp"
-#include "sched/cluster.hpp"
+#include "sched/placement_policy.hpp"
 #include "serve/demo_fleet.hpp"
 #include "serve/event_sim.hpp"
 #include "serve/placement_service.hpp"
@@ -40,6 +41,14 @@
 int main(int argc, char** argv) {
   using namespace coloc;
   const CliArgs args(argc, argv);
+  try {
+    args.reject_unknown({"nodes", "arrivals", "policy", "seed", "jobs",
+                         "zoo-in", "bundle-out", "utilization", "metrics-out",
+                         "trace-out"});
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "placement_sim: %s\n", e.what());
+    return 2;
+  }
 
   const std::size_t jobs = static_cast<std::size_t>(args.get_int("jobs", 0));
   if (jobs != 0) set_configured_jobs(jobs);
