@@ -19,9 +19,8 @@ namespace {
 /// Every flag from_cli() reads.
 constexpr std::string_view kHarnessFlags[] = {
     "partitions", "nn-iters", "seed", "quick", "jobs", "restarts",
-    "sweep-scale", "jobs-sweep", "metrics-out", "trace-out", "bundle-out",
-    "fault-rate", "fault-kinds", "checkpoint", "checkpoint-every", "resume",
-    "zoo-out", "zoo-in"};
+    "metrics-out", "trace-out", "bundle-out", "fault-rate", "fault-kinds",
+    "checkpoint", "checkpoint-every", "resume", "zoo-out", "zoo-in"};
 
 }  // namespace
 
@@ -59,10 +58,6 @@ HarnessConfig HarnessConfig::from_cli(
   config.resume = args.get_bool("resume", false);
   config.zoo_out = args.get("zoo-out", "");
   config.zoo_in = args.get("zoo-in", "");
-  config.sweep_scale = static_cast<std::size_t>(std::max<std::int64_t>(
-      1, args.get_int("sweep-scale",
-                      static_cast<std::int64_t>(config.sweep_scale))));
-  config.jobs_sweep = args.get("jobs-sweep", "");
   const std::int64_t restarts = args.get_int(
       "restarts", static_cast<std::int64_t>(config.restarts));
   if (restarts < 1 || restarts > 64) {
@@ -163,8 +158,9 @@ core::EvaluationConfig HarnessConfig::evaluation() const {
 MachineExperiment::MachineExperiment(sim::MachineConfig machine,
                                      const HarnessConfig& config)
     : config_(config), machine_(std::move(machine)),
-      simulator_(machine_, &library_,
-                 sim::MeasurementOptions{.seed = config.seed}),
+      simulator_(
+          machine_, &library_,
+          sim::MeasurementOptions{.seed = config.seed, .contention = {}}),
       plan_(config.fault_plan()), injector_(simulator_, plan_) {
   COLOC_LOG_INFO << "profiling application traces for " << machine_.name;
   core::CampaignConfig campaign_config = core::CampaignConfig::paper_defaults();

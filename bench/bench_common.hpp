@@ -10,9 +10,6 @@
 //   --restarts=N        SCG restarts per network fit, in [1, 64] (default
 //                       1; the winner is the lowest-loss restart, all
 //                       restarts trained together in batched kernels)
-//   --sweep-scale=N     multiply the campaign sweep N-fold (cloned targets)
-//   --jobs-sweep=LIST   comma-separated jobs values to re-run the campaign
-//                       at (bench_perf_pipeline; emits jobs_scaling JSON)
 //   --metrics-out=FILE  write a metrics snapshot at exit (.json or text)
 //   --trace-out=FILE    write a chrome://tracing span file (+ CSV twin)
 //   --bundle-out=DIR    write a full run bundle: DIR/manifest.json +
@@ -69,13 +66,6 @@ struct HarnessConfig {
   bool resume = false;                // --resume
   std::string zoo_out;  // --zoo-out: save the trained zoo bundle here
   std::string zoo_in;   // --zoo-in: load (and repair) a zoo bundle from here
-  /// --sweep-scale=N: multiply the campaign sweep by N (each target app is
-  /// cloned N-1 times under derived names), exercising orchestration at
-  /// 10-100x the paper's cell count. 1 = the paper sweep.
-  std::size_t sweep_scale = 1;
-  /// --jobs-sweep=1,2,4,8: re-run the campaign at each listed jobs value
-  /// and emit a jobs_scaling curve (bench_perf_pipeline only).
-  std::string jobs_sweep;
   /// --restarts=N: SCG restarts per network fit, validated into [1, 64].
   /// Per-restart RNG streams make each restart independent of the others.
   std::size_t restarts = 1;

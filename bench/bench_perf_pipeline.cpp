@@ -7,15 +7,15 @@
 // of numerical-equivalence gates. The exit status reflects ONLY the
 // equivalence gates — never timing — so CI can run this on noisy shared
 // runners without flaking:
-//   gate matmul_vs_naive          tiled GEMM == reference i-k-j loop
 //   gate trace_batch_bit_identical next_batch() == per-reference next()
-//   gate cache_batch_bit_identical access_batch() == per-access walk
 //   gate solve_cache_bit_identical cached contention solve == cold solve
 //   gate campaign_parallel_bit_identical  parallel campaign == serial sweep
 //   gate zoo_parallel_bit_identical       zoo on the flat task graph ==
 //                                         the same zoo serially scheduled
 //   gate zoo_warm_start_bit_identical     zoo reloaded from the store
 //                                         bundle == freshly trained zoo
+//   gate jobs_sweep_bit_identical         every --jobs-sweep point ==
+//                                         the serial campaign
 // The kernels' own oracles (the row-at-a-time MLP loss/gradient and
 // sequential restart loop, the Fenwick-tree stack distance) are held to
 // the fast paths bit for bit by the unit tests, not here.
@@ -29,12 +29,12 @@
 // sum/count, design-memo hits/misses) mirroring the manifest's training
 // attribution section that obs_report --gate consumes.
 //
-// Scale knobs: --sweep-scale=N clones every campaign target N-fold, pushing
-// the sweep to 10-100x the paper's cell count; --jobs-sweep=1,2,4,8 re-runs
-// the (scaled) campaign at each jobs value and emits a "jobs_scaling" curve
-// in the JSON, each run gated bit-identical against the serial dataset;
-// --restarts=N raises the restart count everywhere (the zoo race floor
-// stays 4).
+// Scale knobs (this binary's own flags, besides --out): --sweep-scale=N
+// clones every campaign target N-fold, pushing the sweep to 10-100x the
+// paper's cell count; --jobs-sweep=1,2,4,8 re-runs the (scaled) campaign at
+// each jobs value and emits a "jobs_scaling" curve in the JSON, each run
+// gated bit-identical against the serial dataset. The common --restarts=N
+// raises the restart count everywhere (the zoo race floor stays 4).
 //
 // The warm-start arm times training the full 12-model zoo cold against
 // saving it to a checksummed store bundle (--zoo-out, default
@@ -51,7 +51,6 @@
 //   ./build/bench/bench_perf_pipeline --partitions=100 --jobs=0
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -63,7 +62,6 @@
 #include <vector>
 
 #include "bench_common.hpp"
-#include "common/rng.hpp"
 #include "common/thread_pool.hpp"
 #include "core/zoo_artifacts.hpp"
 #include "linalg/matrix.hpp"
@@ -74,7 +72,6 @@
 #include "obs/attribution.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "sim/cache.hpp"
 #include "sim/stack_distance.hpp"
 #include "sim/trace.hpp"
 
@@ -109,19 +106,6 @@ std::vector<std::size_t> parse_jobs_list(const std::string& csv) {
     }
   }
   return out;
-}
-
-linalg::Matrix random_matrix(std::size_t rows, std::size_t cols, Rng& rng) {
-  linalg::Matrix m(rows, cols);
-  for (double& v : m.data()) v = rng.uniform(-2.0, 2.0);
-  return m;
-}
-
-double max_abs_diff(std::span<const double> a, std::span<const double> b) {
-  double worst = 0.0;
-  for (std::size_t i = 0; i < a.size(); ++i)
-    worst = std::max(worst, std::abs(a[i] - b[i]));
-  return worst;
 }
 
 bool bitwise_equal(double a, double b) {
@@ -237,52 +221,21 @@ ArmAttribution capture_arm(const char* stage, double wall_s,
   return arm;
 }
 
-/// The serial-vs-parallel gap decomposition for one stage. All terms are
-/// worker-seconds so they add up against gap = jobs*wall_par - wall_serial:
-///   idle          workers parked while the arm's pool was alive
-///   exec_overhead pool busy time in excess of the serial arm's wall
-///                 (per-task span/bookkeeping cost; can be slightly
-///                 negative when the parallel arm does less in-pool work)
-///   serial_section worker capacity lost while no pool existed
-///                 (setup, baselines, checkpoint flushes, reduction)
-/// The three are independently sourced (pool accounting vs wall clocks),
-/// so attributed_fraction ~ 1 checks the bookkeeping is consistent.
-struct GapAttribution {
-  double gap_worker_s = 0.0;
-  double idle_s = 0.0;
-  double exec_overhead_s = 0.0;
-  double serial_section_s = 0.0;
-  double attributed_fraction = 0.0;
-};
-
-GapAttribution attribute_gap(std::size_t jobs, double wall_serial_s,
-                             const ArmAttribution& parallel) {
-  GapAttribution g;
-  const double capacity = static_cast<double>(jobs) * parallel.wall_s;
-  g.gap_worker_s = capacity - wall_serial_s;
-  g.idle_s = parallel.idle_s;
-  g.exec_overhead_s = parallel.busy_s - wall_serial_s;
-  g.serial_section_s = capacity - parallel.busy_s - parallel.idle_s;
-  const double attributed =
-      g.idle_s + g.exec_overhead_s + g.serial_section_s;
-  g.attributed_fraction =
-      std::abs(g.gap_worker_s) > 1e-12 ? attributed / g.gap_worker_s : 1.0;
-  return g;
-}
-
+/// One stage's serial and parallel walls plus the parallel arm's measured
+/// pool accounting. serial_section_seconds is the worker capacity
+/// (jobs * wall) the arm spent outside any pool busy/idle window: setup,
+/// baselines, checkpoint flushes and the ordered reduction.
 void json_arm(std::ofstream& os, const char* key, std::size_t jobs,
-              double wall_serial_s, const ArmAttribution& serial,
-              const ArmAttribution& parallel, bool last) {
-  const GapAttribution gap = attribute_gap(jobs, wall_serial_s, parallel);
+              const ArmAttribution& serial, const ArmAttribution& parallel,
+              bool last) {
   const obs::CriticalPathResult& cp = parallel.critical_path;
+  const double serial_section_s = static_cast<double>(jobs) * parallel.wall_s -
+                                  parallel.busy_s - parallel.idle_s;
   os << "    \"" << key << "\": {\n"
      << "      \"wall_serial_s\": " << serial.wall_s << ",\n"
      << "      \"wall_parallel_s\": " << parallel.wall_s << ",\n"
-     << "      \"gap_worker_seconds\": " << gap.gap_worker_s << ",\n"
-     << "      \"idle_seconds\": " << gap.idle_s << ",\n"
-     << "      \"exec_overhead_seconds\": " << gap.exec_overhead_s << ",\n"
-     << "      \"serial_section_seconds\": " << gap.serial_section_s << ",\n"
-     << "      \"attributed_fraction\": " << gap.attributed_fraction << ",\n"
+     << "      \"idle_seconds\": " << parallel.idle_s << ",\n"
+     << "      \"serial_section_seconds\": " << serial_section_s << ",\n"
      << "      \"mean_worker_utilization\": " << parallel.utilization << ",\n"
      << "      \"pool_workers\": " << parallel.workers << ",\n"
      << "      \"pool_busy_seconds\": " << parallel.busy_s << ",\n"
@@ -302,19 +255,12 @@ void json_arm(std::ofstream& os, const char* key, std::size_t jobs,
      << "    }" << (last ? "\n" : ",\n");
 }
 
-void print_arm(const char* name, std::size_t jobs, double wall_serial_s,
-               const ArmAttribution& parallel) {
-  const GapAttribution gap = attribute_gap(jobs, wall_serial_s, parallel);
-  std::printf(
-      "attribution (%s): gap %.3f worker-s = idle %.3f + exec-overhead "
-      "%.3f + serial-section %.3f (%.0f%% attributed)\n",
-      name, gap.gap_worker_s, gap.idle_s, gap.exec_overhead_s,
-      gap.serial_section_s, 100.0 * gap.attributed_fraction);
+void print_arm(const char* name, const ArmAttribution& parallel) {
   if (parallel.critical_path.found) {
     std::printf(
-      "  critical path      : %8.3f s of %.3f s wall (chain %zu/%zu "
+      "critical path (%-8s): %8.3f s of %.3f s wall (chain %zu/%zu "
       "tasks); queue-wait p99 %.2g s, commit-hold sum %.2g s\n",
-      parallel.critical_path.critical_path_seconds,
+      name, parallel.critical_path.critical_path_seconds,
       parallel.critical_path.wall_seconds,
       parallel.critical_path.chain_length, parallel.critical_path.tasks,
       parallel.queue_wait.p99, parallel.commit_hold.sum);
@@ -326,10 +272,13 @@ void print_arm(const char* name, std::size_t jobs, double wall_serial_s,
 int main(int argc, char** argv) {
   using namespace coloc;
   const CliArgs args(argc, argv);
-  const bench::HarnessConfig config =
-      bench::HarnessConfig::from_cli(args, {"out"});
+  const bench::HarnessConfig config = bench::HarnessConfig::from_cli(
+      args, {"out", "sweep-scale", "jobs-sweep"});
   const obs::ObsSession session(config.run_session());
   const std::string out_path = args.get("out", "BENCH_pipeline.json");
+  const std::size_t sweep_scale = static_cast<std::size_t>(
+      std::max<std::int64_t>(1, args.get_int("sweep-scale", 1)));
+  const std::string jobs_sweep = args.get("jobs-sweep", "");
 
   // The attribution pass below walks the span graph; keep tracing live
   // even when the run was started without --trace-out/--bundle-out. The
@@ -377,53 +326,6 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(profiler.cold_misses()),
               generate_s);
 
-  // Batched cache walk vs the per-access scalar path, over both a
-  // power-of-two L2 and the non-power-of-two 12 MB LLC slice, standalone
-  // and through the hierarchy filter.
-  bool cache_batch_identical = true;
-  {
-    const std::size_t check_len = std::min<std::size_t>(trace.size(), 200'000);
-    const std::span<const sim::LineAddress> lines(trace.data(), check_len);
-    const std::vector<sim::CacheConfig> levels = {
-        {.name = "L2", .size_bytes = 256 << 10, .line_bytes = 64,
-         .associativity = 8},
-        {.name = "LLC", .size_bytes = 12 << 20, .line_bytes = 64,
-         .associativity = 16}};
-    for (const sim::CacheConfig& cfg : levels) {
-      sim::Cache batched(cfg);
-      sim::Cache scalar(cfg);
-      std::vector<std::uint8_t> hits(lines.size());
-      batched.access_batch(lines, hits.data());
-      for (std::size_t i = 0; i < lines.size() && cache_batch_identical;
-           ++i) {
-        cache_batch_identical = scalar.access(lines[i]) == (hits[i] != 0);
-      }
-      cache_batch_identical =
-          cache_batch_identical &&
-          batched.stats().hits == scalar.stats().hits &&
-          batched.stats().misses == scalar.stats().misses;
-      batched.reset_stats();
-      scalar.reset_stats();
-    }
-    sim::CacheHierarchy batched_h(levels);
-    sim::CacheHierarchy scalar_h(levels);
-    std::size_t scalar_dram = 0;
-    for (const sim::LineAddress a : lines) {
-      scalar_dram += scalar_h.access(a) == scalar_h.num_levels() ? 1 : 0;
-    }
-    cache_batch_identical =
-        cache_batch_identical && batched_h.access_batch(lines) == scalar_dram;
-    for (std::size_t l = 0;
-         l < batched_h.num_levels() && cache_batch_identical; ++l) {
-      cache_batch_identical =
-          batched_h.level(l).stats().accesses ==
-              scalar_h.level(l).stats().accesses &&
-          batched_h.level(l).stats().hits == scalar_h.level(l).stats().hits;
-    }
-    batched_h.reset_stats();
-    scalar_h.reset_stats();
-  }
-
   // --- Stage 2: collection campaign (Table V sweep on the 6-core Xeon),
   // serial vs. task-parallel. Each arm gets a fresh simulator so neither
   // benefits from the other's contention-solve cache; the sequenced
@@ -437,9 +339,9 @@ int main(int argc, char** argv) {
   // --sweep-scale=N: clone every target N-1 times under derived names.
   // Clones share their donor's trace shape, so the sweep grows N-fold in
   // cells while the profile memo keeps cross-arm MRC work deduplicated.
-  if (config.sweep_scale > 1) {
+  if (sweep_scale > 1) {
     const std::vector<sim::ApplicationSpec> originals = campaign_config.targets;
-    for (std::size_t k = 2; k <= config.sweep_scale; ++k) {
+    for (std::size_t k = 2; k <= sweep_scale; ++k) {
       for (const sim::ApplicationSpec& app : originals) {
         sim::ApplicationSpec clone = app;
         clone.name = app.name + "~" + std::to_string(k);
@@ -448,7 +350,7 @@ int main(int argc, char** argv) {
       }
     }
     std::printf("sweep scale          : %8zu x  (%zu target apps)\n",
-                config.sweep_scale, campaign_config.targets.size());
+                sweep_scale, campaign_config.targets.size());
   }
 
   sim::MeasurementOptions measurement;
@@ -509,7 +411,7 @@ int main(int argc, char** argv) {
   };
   std::vector<JobsScalingPoint> jobs_scaling;
   bool jobs_sweep_identical = true;
-  const std::vector<std::size_t> sweep_jobs = parse_jobs_list(config.jobs_sweep);
+  const std::vector<std::size_t> sweep_jobs = parse_jobs_list(jobs_sweep);
   for (const std::size_t j : sweep_jobs) {
     campaign_config.jobs = j;
     JobsScalingPoint point;
@@ -668,10 +570,9 @@ int main(int argc, char** argv) {
               "(%.2fx)\n",
               end_to_end_serial_s, end_to_end_parallel_s, end_to_end_speedup);
 
-  // Where did the serial-vs-parallel gap go? Decompose each stage's
-  // worker-seconds and walk the parallel arm's span graph.
-  print_arm("campaign", jobs, campaign_serial_s, campaign_parallel_attr);
-  print_arm("zoo", jobs, zoo_serial_s, zoo_parallel_attr);
+  // Where did the parallel arms' wall go? Walk each one's span graph.
+  print_arm("campaign", campaign_parallel_attr);
+  print_arm("zoo", zoo_parallel_attr);
 
   // --- Stage 3: the paper's set-F MLP validation.
   ml::MlpOptions mlp = config.evaluation().zoo.mlp;
@@ -697,30 +598,13 @@ int main(int argc, char** argv) {
 
   // --- Equivalence gates.
   std::vector<Gate> gates;
-  Rng rng(config.seed ^ 0x5eedULL);
 
-  {  // (a) tiled GEMM vs the naive reference loop, odd non-square shapes.
-    double worst = 0.0;
-    const std::size_t shapes[][3] = {{17, 31, 23}, {64, 64, 64}, {1, 129, 7}};
-    for (const auto& s : shapes) {
-      const linalg::Matrix a = random_matrix(s[0], s[1], rng);
-      const linalg::Matrix b = random_matrix(s[1], s[2], rng);
-      const linalg::Matrix fast_c = linalg::matmul(a, b);
-      const linalg::Matrix ref_c = linalg::matmul_naive(a, b);
-      worst = std::max(worst, max_abs_diff(fast_c.data(), ref_c.data()));
-    }
-    gates.push_back({"matmul_vs_naive_max_abs_diff", worst, 1e-12});
-  }
-
-  // (b) the batched simulation kernels must replay their scalar paths
-  // bit-for-bit: the run-length-segmented trace batch and the SoA cache
-  // walk.
+  // (a) the run-length-segmented trace batch must replay the per-reference
+  // generator bit-for-bit.
   gates.push_back({"trace_batch_bit_identical",
                    trace_batch_identical ? 0.0 : 1.0, 0.0});
-  gates.push_back({"cache_batch_bit_identical",
-                   cache_batch_identical ? 0.0 : 1.0, 0.0});
 
-  // (c) the task-parallel orchestration layers must be byte-equivalent to
+  // (b) the task-parallel orchestration layers must be byte-equivalent to
   // their serial counterparts: the campaign's sequenced collector and the
   // flattened model-zoo batch.
   gates.push_back({"campaign_parallel_bit_identical",
@@ -732,12 +616,12 @@ int main(int argc, char** argv) {
                      jobs_sweep_identical ? 0.0 : 1.0, 0.0});
   }
 
-  // (d) the store round-trip: models reloaded from the zoo bundle must be
+  // (c) the store round-trip: models reloaded from the zoo bundle must be
   // byte-identical to the freshly trained zoo (and nothing retrained).
   gates.push_back({"zoo_warm_start_bit_identical",
                    zoo_warm_identical ? 0.0 : 1.0, 0.0});
 
-  {  // (e) memoized contention solve must be bit-identical to a cold solve.
+  {  // (d) memoized contention solve must be bit-identical to a cold solve.
     const sim::ApplicationSpec cg = sim::find_application("cg");
     const std::vector<sim::ApplicationSpec> coapps(3, cg);
     const sim::RunMeasurement first =
@@ -804,7 +688,7 @@ int main(int argc, char** argv) {
        << "  \"nn_iterations\": " << mlp.max_iterations << ",\n"
        << "  \"seed\": " << config.seed << ",\n"
        << "  \"jobs\": " << jobs << ",\n"
-       << "  \"sweep_scale\": " << config.sweep_scale << ",\n"
+       << "  \"sweep_scale\": " << sweep_scale << ",\n"
        << "  \"restarts\": " << config.restarts << ",\n"
        << "  \"zoo_race_restarts\": " << zoo_race_restarts << ",\n"
        << "  \"timings_s\": {\n"
@@ -846,10 +730,10 @@ int main(int argc, char** argv) {
        << ", \"design_memo_hits\": " << design_hits
        << ", \"design_memo_misses\": " << design_misses << "},\n"
        << "  \"attribution\": {\n";
-    json_arm(os, "campaign", jobs, campaign_serial_s, campaign_serial_attr,
+    json_arm(os, "campaign", jobs, campaign_serial_attr,
              campaign_parallel_attr, /*last=*/false);
-    json_arm(os, "zoo", jobs, zoo_serial_s, zoo_serial_attr,
-             zoo_parallel_attr, /*last=*/true);
+    json_arm(os, "zoo", jobs, zoo_serial_attr, zoo_parallel_attr,
+             /*last=*/true);
     os << "  },\n"
        << "  \"equivalence\": [\n";
     for (std::size_t i = 0; i < gates.size(); ++i)

@@ -21,8 +21,9 @@ int main(int argc, char** argv) {
   library.profile_all(apps);
 
   for (const auto& machine : {sim::xeon_e5649(), sim::xeon_e5_2697v2()}) {
-    sim::Simulator simulator(machine, &library,
-                             sim::MeasurementOptions{.seed = config.seed});
+    sim::Simulator simulator(
+        machine, &library,
+        sim::MeasurementOptions{.seed = config.seed, .contention = {}});
     const core::BaselineLibrary baselines =
         core::collect_baselines(simulator, apps);
     std::printf("Machine: %s\n", machine.name.c_str());

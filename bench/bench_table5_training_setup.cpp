@@ -26,8 +26,9 @@ int main(int argc, char** argv) {
   sim::AppMrcLibrary library;
   library.profile_all(campaign_config.targets);
   for (const auto& machine : machines) {
-    sim::Simulator simulator(machine, &library,
-                             sim::MeasurementOptions{.seed = config.seed});
+    sim::Simulator simulator(
+        machine, &library,
+        sim::MeasurementOptions{.seed = config.seed, .contention = {}});
     const core::CampaignResult result =
         core::run_campaign(simulator, campaign_config);
     sizes.add_row({machine.name, TextTable::num(machine.pstates.size()),

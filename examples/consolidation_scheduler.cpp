@@ -5,6 +5,7 @@
 //
 // Usage: ./build/examples/consolidation_scheduler [--max-slowdown=1.25]
 #include <cstdio>
+#include <exception>
 #include <iostream>
 
 #include "common/cli.hpp"
@@ -15,6 +16,12 @@
 int main(int argc, char** argv) {
   using namespace coloc;
   const CliArgs args(argc, argv);
+  try {
+    args.reject_unknown({"max-slowdown"});
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "consolidation_scheduler: %s\n", e.what());
+    return 2;
+  }
   const double max_slowdown = args.get_double("max-slowdown", 1.25);
 
   const sim::MachineConfig machine = sim::xeon_e5_2697v2();

@@ -3,6 +3,7 @@
 // co-location decision at each P-state — including the energy *increase*
 // caused by memory interference, which pure time-free power models miss.
 #include <cstdio>
+#include <exception>
 #include <iostream>
 
 #include "common/cli.hpp"
@@ -13,6 +14,12 @@
 int main(int argc, char** argv) {
   using namespace coloc;
   const CliArgs args(argc, argv);
+  try {
+    args.reject_unknown({"target", "coapp", "copies"});
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "energy_estimation: %s\n", e.what());
+    return 2;
+  }
   const std::string target_name = args.get("target", "canneal");
   const std::string coapp_name = args.get("coapp", "cg");
   const std::size_t copies =
@@ -58,7 +65,7 @@ int main(int argc, char** argv) {
     const double coloc_j =
         sched::energy_j(machine, p, active_cores, coloc_s) /
         static_cast<double>(active_cores);
-    table.add_row({"P" + std::to_string(p),
+    table.add_row({std::string("P").append(std::to_string(p)),
                    TextTable::num(machine.pstates[p].frequency_ghz, 2),
                    TextTable::num(alone_s, 0), TextTable::num(coloc_s, 0),
                    TextTable::num(alone_j / 1000.0, 1),

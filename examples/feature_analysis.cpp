@@ -9,6 +9,7 @@
 //   4. a k-NN baseline — showing the NN's accuracy is not mere
 //      interpolation of a dense sweep.
 #include <cstdio>
+#include <exception>
 #include <iostream>
 #include <memory>
 
@@ -23,6 +24,12 @@
 int main(int argc, char** argv) {
   using namespace coloc;
   const CliArgs args(argc, argv);
+  try {
+    args.reject_unknown({"partitions"});
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "feature_analysis: %s\n", e.what());
+    return 2;
+  }
   const std::size_t partitions =
       static_cast<std::size_t>(args.get_int("partitions", 8));
 

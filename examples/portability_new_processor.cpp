@@ -4,6 +4,7 @@
 // quality carries over. Nothing about the pipeline changes except the
 // MachineConfig.
 #include <cstdio>
+#include <exception>
 #include <iostream>
 
 #include "common/cli.hpp"
@@ -14,6 +15,12 @@
 int main(int argc, char** argv) {
   using namespace coloc;
   const CliArgs args(argc, argv);
+  try {
+    args.reject_unknown({"partitions"});
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "portability_new_processor: %s\n", e.what());
+    return 2;
+  }
   const std::size_t partitions =
       static_cast<std::size_t>(args.get_int("partitions", 8));
 

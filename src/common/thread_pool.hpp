@@ -262,9 +262,9 @@ void set_configured_jobs(std::size_t jobs);
 /// Convenience: shared process-wide pool sized to configured_jobs().
 ThreadPool& global_pool();
 
-/// True when the calling thread is a worker of ANY ThreadPool. Kernels
-/// that fan out over global_pool() (e.g. linalg::matmul) must run serially
-/// when already on a worker: a blocking parallel_for from inside a worker
+/// True when the calling thread is a worker of ANY ThreadPool. Stages
+/// that fan out over global_pool() (validation, the campaign, zoo repair)
+/// must run serially when already on a worker: a blocking parallel_for from inside a worker
 /// would wait on chunks that can only run on the thread doing the waiting.
 bool on_worker_thread();
 

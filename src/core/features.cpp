@@ -45,17 +45,17 @@ BaselineProfile collect_baseline(sim::MeasurementSource& source,
       constexpr std::uint64_t kConfirmRepOffset = 1u << 20;
       auto measured = runner->measure_cell(
           tag, 0.0, [&](std::uint64_t attempt) {
-            sim::RunMeasurement m = source.run_alone(app, p, attempt);
+            sim::RunMeasurement primary = source.run_alone(app, p, attempt);
             const sim::RunMeasurement confirm =
                 source.run_alone(app, p, kConfirmRepOffset + attempt);
-            const double ratio = m.execution_time_s /
+            const double ratio = primary.execution_time_s /
                                  confirm.execution_time_s;
             if (!(ratio > 1.0 / 3.0 && ratio < 3.0)) {
               throw MeasurementError(
                   ErrorClass::kCorruptedData,
                   "baseline disagrees with its confirmation read: " + tag);
             }
-            return m;
+            return primary;
           });
       if (!measured) {
         throw MeasurementError(ErrorClass::kPermanent,

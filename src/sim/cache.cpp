@@ -1,71 +1,12 @@
 #include "sim/cache.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <utility>
 
 #include "common/error.hpp"
 #include "obs/metrics.hpp"
-#include "sim/kernel_clones.hpp"
 
 namespace coloc::sim {
-
-namespace {
-// Batch set-index precompute. Power-of-two set counts use the mask form
-// (identical to the modulo for unsigned operands); the generic form keeps
-// the modulo so non-power-of-two LLC slices index exactly as before.
-COLOC_SIM_KERNEL_CLONES
-void compute_sets_pow2(const LineAddress* lines, std::uint32_t* sets,
-                       std::size_t n, std::uint64_t mask) {
-  for (std::size_t i = 0; i < n; ++i)
-    sets[i] = static_cast<std::uint32_t>(lines[i] & mask);
-}
-
-COLOC_SIM_KERNEL_CLONES
-void compute_sets_mod(const LineAddress* lines, std::uint32_t* sets,
-                      std::size_t n, std::uint64_t num_sets) {
-  for (std::size_t i = 0; i < n; ++i)
-    sets[i] = static_cast<std::uint32_t>(lines[i] % num_sets);
-}
-
-// Sequential chunk walk with a branch-light way scan: the tag compare and
-// LRU argmin lower to conditional moves / vector compares over the set's
-// tag and last-used planes. A way is valid iff its last-used stamp is
-// nonzero, so "first invalid way, else least recently used" is exactly a
-// strict-< argmin (stamps are globally unique, invalid stamps are 0).
-COLOC_SIM_KERNEL_CLONES
-std::size_t access_chunk(LineAddress* tags, std::uint64_t* used,
-                         const LineAddress* lines, const std::uint32_t* sets,
-                         std::uint8_t* hits_out, std::size_t n,
-                         std::size_t assoc, std::uint64_t clock_base) {
-  std::size_t hit_count = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const LineAddress line = lines[i];
-    const std::size_t row = static_cast<std::size_t>(sets[i]) * assoc;
-    LineAddress* t = tags + row;
-    std::uint64_t* u = used + row;
-    std::size_t match = assoc;
-    std::size_t victim = 0;
-    std::uint64_t best = u[0];
-    for (std::size_t w = 0; w < assoc; ++w) {
-      const bool is_hit = (t[w] == line) & (u[w] != 0);
-      match = is_hit ? w : match;
-      const bool better = u[w] < best;
-      best = better ? u[w] : best;
-      victim = better ? w : victim;
-    }
-    const bool hit = match != assoc;
-    // On a hit the tag store is a no-op (same value), so one unconditional
-    // install path serves both outcomes.
-    const std::size_t slot = hit ? match : victim;
-    t[slot] = line;
-    u[slot] = clock_base + i + 1;
-    hit_count += hit ? 1 : 0;
-    if (hits_out != nullptr) hits_out[i] = hit ? 1 : 0;
-  }
-  return hit_count;
-}
-}  // namespace
 
 Cache::Cache(CacheConfig config) : config_(std::move(config)) {
   COLOC_CHECK_MSG(config_.line_bytes > 0, "line size must be positive");
@@ -165,28 +106,6 @@ bool Cache::access(LineAddress line) {
   return false;
 }
 
-std::size_t Cache::access_batch(std::span<const LineAddress> lines,
-                                std::uint8_t* hits) {
-  if (lines.empty()) return 0;
-  set_scratch_.resize(lines.size());
-  if (std::has_single_bit(num_sets_)) {
-    compute_sets_pow2(lines.data(), set_scratch_.data(), lines.size(),
-                      static_cast<std::uint64_t>(num_sets_) - 1);
-  } else {
-    compute_sets_mod(lines.data(), set_scratch_.data(), lines.size(),
-                     static_cast<std::uint64_t>(num_sets_));
-  }
-  const std::size_t hit_count =
-      access_chunk(tags_.data(), last_used_.data(), lines.data(),
-                   set_scratch_.data(), hits, lines.size(),
-                   config_.associativity, clock_);
-  clock_ += lines.size();
-  stats_.accesses += lines.size();
-  stats_.hits += hit_count;
-  stats_.misses += lines.size() - hit_count;
-  return hit_count;
-}
-
 bool Cache::contains(LineAddress line) const {
   const std::size_t row = set_index(line) * config_.associativity;
   for (std::size_t w = 0; w < config_.associativity; ++w) {
@@ -212,27 +131,6 @@ std::size_t CacheHierarchy::access(LineAddress line) {
     if (levels_[i].access(line)) return i;
   }
   return levels_.size();
-}
-
-std::size_t CacheHierarchy::access_batch(std::span<const LineAddress> lines) {
-  std::span<const LineAddress> current = lines;
-  for (std::size_t i = 0; i < levels_.size(); ++i) {
-    if (current.empty()) return 0;
-    hit_scratch_.resize(current.size());
-    const std::size_t hits =
-        levels_[i].access_batch(current, hit_scratch_.data());
-    if (i + 1 == levels_.size()) return current.size() - hits;
-    // Filter the in-order miss stream into the other ping-pong buffer
-    // (never the one `current` views).
-    std::vector<LineAddress>& next = miss_scratch_[i & 1];
-    next.clear();
-    next.reserve(current.size() - hits);
-    for (std::size_t j = 0; j < current.size(); ++j) {
-      if (hit_scratch_[j] == 0) next.push_back(current[j]);
-    }
-    current = next;
-  }
-  return 0;
 }
 
 void CacheHierarchy::reset_stats() {

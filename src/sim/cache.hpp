@@ -5,14 +5,12 @@
 // agree with the MRC evaluated at L. A multi-level hierarchy supports
 // private L1/L2 plus the shared last-level cache of the modeled Xeons.
 //
-// Storage is struct-of-arrays (a tag plane and a last-used plane) so the
-// batched access path can scan a set's tags with SIMD compares; a way with
-// last_used == 0 is invalid (the access clock starts at 1), which also
-// makes victim selection a branch-light argmin over the last-used plane.
+// Storage is a tag plane and a last-used plane; a way with last_used == 0
+// is invalid (the access clock starts at 1), so victim selection is a
+// single argmin over the last-used stamps of the set.
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -66,15 +64,6 @@ class Cache {
   /// Accesses a line; returns true on hit. LRU state is updated.
   bool access(LineAddress line);
 
-  /// Accesses a chunk of lines in order — bit-identical LRU state, stats
-  /// and per-line results to calling access() per element, with the set
-  /// indexing hoisted into a precomputed pass and the tag compare / LRU
-  /// victim scan running branch-light (SIMD clones on x86-64). Returns the
-  /// number of hits; when `hits` is non-null it receives one 0/1 byte per
-  /// line (must have lines.size() capacity).
-  std::size_t access_batch(std::span<const LineAddress> lines,
-                           std::uint8_t* hits = nullptr);
-
   /// True if the line is currently resident (no state change).
   bool contains(LineAddress line) const;
 
@@ -104,7 +93,6 @@ class Cache {
   CacheStats stats_;
   CacheStats published_;  // portion of stats_ already in the registry
   std::uint64_t clock_ = 0;
-  std::vector<std::uint32_t> set_scratch_;  // batch set-index staging
 };
 
 /// An inclusive-of-access hierarchy: each access walks L1 -> L2 -> ... until
@@ -118,13 +106,6 @@ class CacheHierarchy {
   /// Accesses a line; returns the level index that hit, or levels().size()
   /// if it missed everywhere (i.e. went to DRAM).
   std::size_t access(LineAddress line);
-
-  /// Walks a chunk level by level: every line probes L1, the misses (in
-  /// order) probe L2, and so on. Each level sees exactly the access
-  /// subsequence the scalar walk would send it, so states and stats are
-  /// bit-identical at any chunk size. Returns the number of lines that
-  /// missed every level (went to DRAM).
-  std::size_t access_batch(std::span<const LineAddress> lines);
 
   std::size_t num_levels() const { return levels_.size(); }
   const Cache& level(std::size_t i) const { return levels_[i]; }
@@ -140,9 +121,6 @@ class CacheHierarchy {
 
  private:
   std::vector<Cache> levels_;
-  // Reused batch staging: the miss stream filtered down the hierarchy.
-  std::vector<LineAddress> miss_scratch_[2];
-  std::vector<std::uint8_t> hit_scratch_;
 };
 
 }  // namespace coloc::sim

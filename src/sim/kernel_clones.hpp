@@ -1,8 +1,8 @@
-// Function multi-versioning macro for the integer sim kernels (the stack-
-// distance step with its window scans, cache tag compares): the loader
-// picks the widest clone the CPU supports, exactly as linalg's vector_tanh
-// does. The kernels are pure integer arithmetic, so every clone is
-// bit-identical by construction — only lane count differs.
+// Function multi-versioning macro for the integer sim kernel (the stack-
+// distance step with its window scans): the loader picks the widest clone
+// the CPU supports, exactly as linalg's vector_tanh does. The kernel is
+// pure integer arithmetic, so every clone is bit-identical by construction
+// — only lane count differs.
 #pragma once
 
 #if defined(__x86_64__) && defined(__ELF__) && defined(__GNUC__) && \

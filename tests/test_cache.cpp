@@ -2,11 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <cstdint>
-#include <iterator>
-#include <span>
-#include <vector>
+#include <cstddef>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
@@ -171,99 +167,6 @@ TEST(HierarchyTest, ResetStatsClearsAllLevels) {
 
 TEST(HierarchyTest, EmptyRejected) {
   EXPECT_THROW(CacheHierarchy{{}}, coloc::runtime_error);
-}
-
-// --- access_batch() must replay the per-access scalar walk exactly: same
-// hit/miss stream, same stats, same final contents — for power-of-two and
-// non-power-of-two set counts, odd chunkings, and through the hierarchy.
-
-std::vector<LineAddress> zipf_trace(std::size_t n, std::size_t universe,
-                                    std::uint64_t seed) {
-  coloc::Rng rng(seed);
-  std::vector<LineAddress> trace(n);
-  for (LineAddress& a : trace) a = rng.zipf(universe, 0.9);
-  return trace;
-}
-
-void expect_batch_matches_scalar(const CacheConfig& config,
-                                 std::span<const LineAddress> trace) {
-  Cache batched(config);
-  Cache scalar(config);
-  std::vector<std::uint8_t> hits(trace.size());
-  // Feed the batched cache in ragged chunks so chunk seams are exercised.
-  const std::size_t chunks[] = {1, 127, 64, 1000, 33};
-  std::size_t done = 0, chunk_index = 0;
-  while (done < trace.size()) {
-    const std::size_t len =
-        std::min(chunks[chunk_index++ % std::size(chunks)],
-                 trace.size() - done);
-    batched.access_batch(trace.subspan(done, len), hits.data() + done);
-    done += len;
-  }
-  for (std::size_t i = 0; i < trace.size(); ++i) {
-    ASSERT_EQ(scalar.access(trace[i]), hits[i] != 0) << "at index " << i;
-  }
-  EXPECT_EQ(batched.stats().accesses, scalar.stats().accesses);
-  EXPECT_EQ(batched.stats().hits, scalar.stats().hits);
-  EXPECT_EQ(batched.stats().misses, scalar.stats().misses);
-  // Final contents must agree too: the same lines are resident.
-  for (LineAddress a = 0; a < 512; ++a) {
-    ASSERT_EQ(batched.contains(a), scalar.contains(a)) << "line " << a;
-  }
-}
-
-TEST(CacheBatch, MatchesScalarPowerOfTwoSets) {
-  const auto trace = zipf_trace(20000, 400, 17);
-  expect_batch_matches_scalar(small_cache(256, 4), trace);
-}
-
-TEST(CacheBatch, MatchesScalarNonPowerOfTwoSets) {
-  // 12 sets x 4 ways, mirroring a sliced LLC: exercises the modulo set
-  // indexing path rather than the pow2 mask.
-  const auto trace = zipf_trace(20000, 300, 18);
-  expect_batch_matches_scalar(small_cache(48, 4), trace);
-}
-
-TEST(CacheBatch, MatchesScalarFullyAssociative) {
-  const auto trace = zipf_trace(5000, 128, 19);
-  expect_batch_matches_scalar(small_cache(32, 32), trace);
-}
-
-TEST(CacheBatch, NullHitsPointerOnlyCountsStats) {
-  const auto trace = zipf_trace(5000, 200, 20);
-  Cache batched(small_cache(64, 4));
-  Cache scalar(small_cache(64, 4));
-  const std::size_t batch_hits =
-      batched.access_batch(std::span<const LineAddress>(trace));
-  std::size_t scalar_hits = 0;
-  for (const LineAddress a : trace) scalar_hits += scalar.access(a);
-  EXPECT_EQ(batch_hits, scalar_hits);
-  EXPECT_EQ(batched.stats().hits, scalar.stats().hits);
-}
-
-TEST(CacheBatch, HierarchyMatchesScalarLevelByLevel) {
-  const auto trace = zipf_trace(20000, 600, 21);
-  CacheHierarchy batched({small_cache(16, 4), small_cache(48, 4),
-                          small_cache(256, 8)});
-  CacheHierarchy scalar({small_cache(16, 4), small_cache(48, 4),
-                         small_cache(256, 8)});
-  std::size_t scalar_dram = 0;
-  for (const LineAddress a : trace) {
-    scalar_dram += scalar.access(a) == scalar.num_levels() ? 1 : 0;
-  }
-  const std::size_t batched_dram =
-      batched.access_batch(std::span<const LineAddress>(trace));
-  EXPECT_EQ(batched_dram, scalar_dram);
-  for (std::size_t l = 0; l < batched.num_levels(); ++l) {
-    EXPECT_EQ(batched.level(l).stats().accesses,
-              scalar.level(l).stats().accesses) << "level " << l;
-    EXPECT_EQ(batched.level(l).stats().hits, scalar.level(l).stats().hits)
-        << "level " << l;
-    EXPECT_EQ(batched.level(l).stats().misses,
-              scalar.level(l).stats().misses) << "level " << l;
-  }
-  EXPECT_EQ(batched.llc_accesses(), scalar.llc_accesses());
-  EXPECT_EQ(batched.llc_misses(), scalar.llc_misses());
 }
 
 }  // namespace

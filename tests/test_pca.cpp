@@ -51,46 +51,6 @@ TEST(Pca, StandardizedIgnoresScale) {
   EXPECT_LT(pca.explained_variance_ratio[0], 0.7);
 }
 
-TEST(Pca, TransformDecorrelatesComponents) {
-  coloc::Rng rng(4);
-  linalg::Matrix x(500, 3);
-  for (std::size_t r = 0; r < 500; ++r) {
-    const double a = rng.normal();
-    const double b = rng.normal();
-    x(r, 0) = a;
-    x(r, 1) = a + 0.5 * b;
-    x(r, 2) = b;
-  }
-  const PcaResult pca = pca_fit(x);
-  const linalg::Matrix z = pca_transform(pca, x, 3);
-  // Components should be uncorrelated.
-  for (std::size_t i = 0; i < 3; ++i) {
-    for (std::size_t j = i + 1; j < 3; ++j) {
-      double s = 0.0;
-      for (std::size_t r = 0; r < 500; ++r) s += z(r, i) * z(r, j);
-      EXPECT_NEAR(s / 500.0, 0.0, 1e-6);
-    }
-  }
-}
-
-TEST(Pca, TransformedVarianceMatchesEigenvalues) {
-  coloc::Rng rng(5);
-  linalg::Matrix x(400, 2);
-  for (std::size_t r = 0; r < 400; ++r) {
-    x(r, 0) = rng.normal(0, 2.0);
-    x(r, 1) = rng.normal(0, 1.0);
-  }
-  const PcaResult pca = pca_fit(x, {.standardize = false});
-  const linalg::Matrix z = pca_transform(pca, x, 2);
-  for (std::size_t c = 0; c < 2; ++c) {
-    double var = 0.0;
-    for (std::size_t r = 0; r < 400; ++r) var += z(r, c) * z(r, c);
-    var /= 399.0;
-    EXPECT_NEAR(var, pca.explained_variance[c],
-                0.05 * pca.explained_variance[c] + 1e-9);
-  }
-}
-
 TEST(Pca, ImportanceRanksInformativeFeatureFirst) {
   coloc::Rng rng(6);
   linalg::Matrix x(300, 3);
@@ -109,19 +69,6 @@ TEST(Pca, ImportanceRanksInformativeFeatureFirst) {
 TEST(Pca, RejectsTooFewRows) {
   linalg::Matrix x(1, 2, 1.0);
   EXPECT_THROW(pca_fit(x), coloc::runtime_error);
-}
-
-TEST(Pca, TransformWidthMismatchThrows) {
-  coloc::Rng rng(7);
-  linalg::Matrix x(10, 2);
-  for (std::size_t r = 0; r < 10; ++r) {
-    x(r, 0) = rng.normal();
-    x(r, 1) = rng.normal();
-  }
-  const PcaResult pca = pca_fit(x);
-  linalg::Matrix wrong(5, 3, 0.0);
-  EXPECT_THROW(pca_transform(pca, wrong, 2), coloc::runtime_error);
-  EXPECT_THROW(pca_transform(pca, x, 3), coloc::runtime_error);
 }
 
 TEST(Pca, RankNamesCountMismatchThrows) {

@@ -122,31 +122,5 @@ TEST(QRTest, RhsLengthMismatchThrows) {
   EXPECT_THROW(QR(a).solve(b), coloc::runtime_error);
 }
 
-TEST(Ridge, ShrinksCoefficients) {
-  coloc::Rng rng(10);
-  const Matrix a = random_matrix(40, 3, rng);
-  std::vector<double> b(40);
-  for (auto& v : b) v = rng.normal();
-  const Vector ols = least_squares(a, b);
-  const Vector ridge = ridge_least_squares(a, b, 100.0);
-  EXPECT_LT(norm2(ridge), norm2(ols));
-}
-
-TEST(Ridge, ZeroLambdaMatchesOls) {
-  coloc::Rng rng(11);
-  const Matrix a = random_matrix(20, 3, rng);
-  std::vector<double> b(20);
-  for (auto& v : b) v = rng.normal();
-  const Vector ols = least_squares(a, b);
-  const Vector ridge = ridge_least_squares(a, b, 0.0);
-  for (std::size_t i = 0; i < 3; ++i) EXPECT_NEAR(ols[i], ridge[i], 1e-12);
-}
-
-TEST(Ridge, NegativeLambdaThrows) {
-  Matrix a(4, 2, 1.0);
-  const std::vector<double> b = {1, 2, 3, 4};
-  EXPECT_THROW(ridge_least_squares(a, b, -1.0), coloc::runtime_error);
-}
-
 }  // namespace
 }  // namespace coloc::linalg

@@ -432,6 +432,8 @@ int main(int argc, char** argv) {
   const std::string mode = args.get("mode", "harness");
   const std::string dir = args.get("dir", "crash_harness_out");
   try {
+    // The self-re-exec'd pipeline child passes --mode, --dir and --resume.
+    args.reject_unknown({"mode", "dir", "resume", "kills", "seed", "verbose"});
     if (mode == "pipeline") {
       return run_pipeline(dir, args.get_bool("resume", false));
     }

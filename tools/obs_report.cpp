@@ -49,6 +49,13 @@ int usage(const char* program) {
 int main(int argc, char** argv) {
   using namespace coloc;
   const CliArgs args(argc, argv);
+  try {
+    args.reject_unknown({"gate", "stage-wall-pct", "queue-wait-p99-pct",
+                         "predict-p99-pct", "train-gemm-pct"});
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "obs_report: %s\n", e.what());
+    return usage(args.program().c_str());
+  }
   std::vector<std::string> bundles = args.positional();
   // CliArgs parses `--gate BASELINE_DIR` as flag+value, swallowing the
   // first bundle path; anything but a bare `--gate` is really a positional.
