@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cctype>
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <iterator>
 #include <system_error>
@@ -22,10 +23,14 @@ constexpr std::string_view kHarnessFlags[] = {
     "metrics-out", "trace-out", "bundle-out", "fault-rate", "fault-kinds",
     "checkpoint", "checkpoint-every", "resume", "zoo-out", "zoo-in"};
 
-}  // namespace
+std::string base_name(const std::string& program) {
+  const auto slash = program.find_last_of('/');
+  return slash == std::string::npos ? program : program.substr(slash + 1);
+}
 
-HarnessConfig HarnessConfig::from_cli(
-    const CliArgs& args, std::initializer_list<std::string_view> extra_flags) {
+/// from_cli() without the exit: throws on a bad flag or value.
+HarnessConfig parse_cli(const CliArgs& args,
+                        std::initializer_list<std::string_view> extra_flags) {
   std::vector<std::string_view> declared(std::begin(kHarnessFlags),
                                          std::end(kHarnessFlags));
   declared.insert(declared.end(), extra_flags.begin(), extra_flags.end());
@@ -65,17 +70,25 @@ HarnessConfig HarnessConfig::from_cli(
         "--restarts must be in [1, 64], got " + std::to_string(restarts));
   }
   config.restarts = static_cast<std::size_t>(restarts);
-  if (!args.program().empty()) {
-    const std::string& program = args.program();
-    const auto slash = program.find_last_of('/');
-    config.program =
-        slash == std::string::npos ? program : program.substr(slash + 1);
-  }
+  if (!args.program().empty()) config.program = base_name(args.program());
   if (config.quick) {
     config.partitions = std::min<std::size_t>(config.partitions, 3);
     config.nn_iterations = std::min<std::size_t>(config.nn_iterations, 200);
   }
   return config;
+}
+
+}  // namespace
+
+HarnessConfig HarnessConfig::from_cli(
+    const CliArgs& args, std::initializer_list<std::string_view> extra_flags) {
+  try {
+    return parse_cli(args, extra_flags);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "%s: %s\n", base_name(args.program()).c_str(),
+                 e.what());
+    std::exit(2);
+  }
 }
 
 obs::ObsOptions HarnessConfig::run_session() const {

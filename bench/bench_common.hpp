@@ -22,8 +22,8 @@
 //   --checkpoint-every=N  cells between periodic checkpoint flushes
 //   --resume            load the checkpoint and skip measured cells
 //
-// Any other `--flag` is rejected (invalid_argument_error naming the nearest
-// declared flag) unless the binary declares it through from_cli().
+// Any other `--flag` is rejected (exit status 2, with a message naming the
+// nearest declared flag) unless the binary declares it through from_cli().
 //
 // Every bench main holds one obs::ObsSession built from run_session();
 // besides honoring the flags above it prints a machine-readable
@@ -71,7 +71,8 @@ struct HarnessConfig {
   std::size_t restarts = 1;
 
   /// Parses the common flags above. `extra_flags` names the binary's own
-  /// flags; any `--flag` in neither set throws invalid_argument_error.
+  /// flags. A `--flag` in neither set, or an invalid value, prints the
+  /// error to stderr and exits the process with status 2.
   static HarnessConfig from_cli(
       const CliArgs& args,
       std::initializer_list<std::string_view> extra_flags = {});

@@ -4,16 +4,24 @@
 // Degrades gracefully — and says so — when the host forbids counters
 // (containers, perf_event_paranoid, missing PMU).
 #include <cstdio>
+#include <exception>
 #include <iomanip>
 #include <iostream>
 #include <sstream>
 
+#include "common/cli.hpp"
 #include "common/table.hpp"
 #include "counters/host_profiler.hpp"
 #include "counters/perf_event.hpp"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace coloc;
+  try {
+    CliArgs(argc, argv).reject_unknown({});  // takes no flags
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "host_counters_demo: %s\n", e.what());
+    return 2;
+  }
 
   if (!counters::perf_counters_available()) {
     std::printf(

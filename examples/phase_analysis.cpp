@@ -10,16 +10,24 @@
 // (exactly what the models consume) already separate the four classes by
 // orders of magnitude.
 #include <cstdio>
+#include <exception>
 #include <iostream>
 #include <sstream>
 
+#include "common/cli.hpp"
 #include "common/table.hpp"
 #include "sim/app_model.hpp"
 #include "sim/machine.hpp"
 #include "sim/phase_profiler.hpp"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace coloc;
+  try {
+    CliArgs(argc, argv).reject_unknown({});  // takes no flags
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "phase_analysis: %s\n", e.what());
+    return 2;
+  }
 
   const sim::MachineConfig machine = sim::xeon_e5649();
   const std::size_t window = 20'000;

@@ -53,19 +53,6 @@ bool CancellationScope::current_cancelled() {
   return t_current_token != nullptr && t_current_token->cancelled();
 }
 
-bool DeadlineTask::wait_until_deadline() {
-  if (future.wait_until(deadline) == std::future_status::ready) return true;
-  token.request_cancel();
-  return false;
-}
-
-void ThreadPool::throw_if_abandoned(const CancellationToken& token) {
-  if (token.cancelled()) {
-    throw coloc::runtime_error(
-        "task cancelled before it started (deadline expired in queue)");
-  }
-}
-
 ThreadPool::ThreadPool(std::size_t threads) {
   if (threads == 0) {
     threads = std::max<std::size_t>(1, std::thread::hardware_concurrency());

@@ -172,8 +172,7 @@ CampaignResult run_campaign(sim::MeasurementSource& source,
   result.dataset = ml::Dataset(feature_names(), "colocExTime");
 
   const std::size_t jobs = config.jobs != 0 ? config.jobs : configured_jobs();
-  fault::ResilientRunner runner(robustness.retry, robustness.bounds,
-                                std::max<std::size_t>(2, jobs));
+  fault::ResilientRunner runner(robustness.retry, robustness.bounds);
 
   std::unique_ptr<fault::CampaignCheckpoint> checkpoint;
   if (!robustness.checkpoint_path.empty()) {

@@ -4,13 +4,14 @@
 #include <chrono>
 #include <cmath>
 #include <cstdlib>
-#include <memory>
+#include <exception>
 #include <sstream>
 #include <thread>
 
 #include "common/error.hpp"
 #include "common/log.hpp"
 #include "common/rng.hpp"
+#include "common/thread_pool.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
@@ -110,12 +111,8 @@ std::string CompletenessReport::summary() const {
   return os.str();
 }
 
-ResilientRunner::ResilientRunner(RetryPolicy policy, PlausibilityBounds bounds,
-                                 std::size_t deadline_workers)
-    : policy_(policy), bounds_(bounds),
-      pool_(deadline_workers != 0
-                ? deadline_workers
-                : std::max<std::size_t>(2, configured_jobs())) {
+ResilientRunner::ResilientRunner(RetryPolicy policy, PlausibilityBounds bounds)
+    : policy_(policy), bounds_(bounds) {
   COLOC_CHECK_MSG(policy_.max_attempts > 0, "need at least one attempt");
   COLOC_CHECK_MSG(policy_.deadline_ms > 0.0, "deadline must be positive");
 }
@@ -167,6 +164,9 @@ CellOutcome ResilientRunner::measure_outcome(const std::string& tag,
   RunnerMetrics& metrics = RunnerMetrics::get();
   CellOutcome outcome;
   outcome.failure_reason = "unknown";
+  const auto attempt_budget =
+      std::chrono::duration_cast<CancellationToken::Clock::duration>(
+          std::chrono::duration<double, std::milli>(policy_.deadline_ms));
 
   std::size_t attempt = 0;
   for (; attempt < policy_.max_attempts; ++attempt) {
@@ -183,18 +183,21 @@ CellOutcome ResilientRunner::measure_outcome(const std::string& tag,
     }
 
     obs::ScopedSpan attempt_span("resilient/attempt", "fault");
-    // Per-attempt result storage shared with the task: an abandoned
-    // (overrun) attempt may still be writing while we move on, so it must
-    // never share storage with a later attempt.
-    auto result = std::make_shared<sim::RunMeasurement>();
-    DeadlineTask task = pool_.submit_with_deadline(
-        [result, &measure, attempt](const CancellationToken&) {
-          *result = measure(attempt);
-        },
-        std::chrono::milliseconds(
-            static_cast<std::int64_t>(policy_.deadline_ms)));
+    const auto deadline = CancellationToken::Clock::now() + attempt_budget;
+    sim::RunMeasurement reading;
+    std::exception_ptr error;
+    {
+      CancellationScope scope(CancellationToken{deadline});
+      try {
+        reading = measure(attempt);
+      } catch (...) {
+        error = std::current_exception();
+      }
+    }
 
-    if (!task.wait_until_deadline()) {
+    // The clock is checked before the attempt's own result: a reading or
+    // error that arrives at or after the deadline is an overrun either way.
+    if (CancellationToken::Clock::now() >= deadline) {
       ++outcome.deadline_overruns;
       metrics.deadline_overruns.inc();
       outcome.failure_reason = "deadline overrun (" +
@@ -203,8 +206,8 @@ CellOutcome ResilientRunner::measure_outcome(const std::string& tag,
     }
 
     try {
-      task.future.get();
-      validate_measurement(*result, reference_time_s, bounds_);
+      if (error) std::rethrow_exception(error);
+      validate_measurement(reading, reference_time_s, bounds_);
     } catch (const classified_error& e) {
       outcome.failure_reason = e.what();
       if (e.error_class() == ErrorClass::kPermanent) break;
@@ -221,7 +224,7 @@ CellOutcome ResilientRunner::measure_outcome(const std::string& tag,
     }
 
     outcome.attempts = attempt + 1;
-    outcome.measurement = std::move(*result);
+    outcome.measurement = std::move(reading);
     metrics.cells_ok.inc();
     metrics.attempts_per_cell.observe(static_cast<double>(outcome.attempts));
     outcome.completed_ns = obs::trace_now_ns();

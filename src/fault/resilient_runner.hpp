@@ -24,7 +24,6 @@
 #include <string>
 #include <vector>
 
-#include "common/thread_pool.hpp"
 #include "sim/execution.hpp"
 
 namespace coloc::fault {
@@ -38,8 +37,9 @@ struct RetryPolicy {
   /// drawn deterministically from (seed, tag, attempt).
   double jitter = 0.5;
   std::uint64_t jitter_seed = 77;
-  /// Per-attempt completion deadline. A cell that overruns is cancelled
-  /// (cooperatively) and the overrun is treated as a transient fault.
+  /// Per-attempt completion deadline. An attempt that returns at or after
+  /// it is an overrun: its token reads cancelled from the deadline on, its
+  /// result is discarded and the overrun is retried like a transient fault.
   double deadline_ms = 2000.0;
 
   /// Honors COLOC_CELL_DEADLINE_MS and COLOC_MAX_ATTEMPTS when set.
@@ -114,13 +114,13 @@ struct CellOutcome {
 
 class ResilientRunner {
  public:
-  /// `deadline_workers` sizes the internal executor that runs measurement
-  /// attempts under their deadlines; it bounds how many cells can be
-  /// measured concurrently. 0 means max(2, configured_jobs()), so a
-  /// task-parallel campaign is never throttled below its worker count.
+  /// Attempts run inline on the calling thread. Each one runs inside a
+  /// CancellationScope whose token expires at the attempt's deadline, so
+  /// cooperative code (the simulated backend, the fault injector's hangs)
+  /// stops there. An attempt that ignores its token holds its caller until
+  /// it returns; it is still counted as an overrun and its result dropped.
   explicit ResilientRunner(RetryPolicy policy = {},
-                           PlausibilityBounds bounds = {},
-                           std::size_t deadline_workers = 0);
+                           PlausibilityBounds bounds = {});
 
   /// The measurement closure; `attempt` doubles as the repetition seed so
   /// retries draw fresh noise instead of replaying the failed run.
@@ -172,7 +172,6 @@ class ResilientRunner {
 
   RetryPolicy policy_;
   PlausibilityBounds bounds_;
-  ThreadPool pool_;
   std::mutex report_mutex_;
   CompletenessReport report_;
 };

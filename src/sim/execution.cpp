@@ -61,6 +61,15 @@ std::uint64_t Simulator::run_seed(const ApplicationSpec& target,
 
 ContentionSolution Simulator::solve(const std::vector<ApplicationSpec>& apps,
                                     std::size_t pstate_index) const {
+  std::vector<const ApplicationSpec*> ordered;
+  ordered.reserve(apps.size());
+  for (const auto& app : apps) ordered.push_back(&app);
+  return solve(ordered, pstate_index);
+}
+
+ContentionSolution Simulator::solve(
+    const std::vector<const ApplicationSpec*>& apps,
+    std::size_t pstate_index) const {
   COLOC_CHECK_MSG(pstate_index < machine_.pstates.size(),
                   "P-state index out of range");
   SimMetrics& metrics = SimMetrics::get();
@@ -69,9 +78,9 @@ ContentionSolution Simulator::solve(const std::vector<ApplicationSpec>& apps,
   // the separator cannot appear in app names). Order-exact on purpose —
   // see the solve() contract in execution.hpp.
   std::string key = std::to_string(pstate_index);
-  for (const auto& app : apps) {
+  for (const ApplicationSpec* app : apps) {
     key.push_back('\x1f');
-    key.append(app.name);
+    key.append(app->name);
   }
   CacheShard& shard =
       solve_cache_[std::hash<std::string>{}(key) % kCacheShards];
@@ -89,9 +98,8 @@ ContentionSolution Simulator::solve(const std::vector<ApplicationSpec>& apps,
   metrics.contention_solves.inc();
   std::vector<ScheduledApp> scheduled;
   scheduled.reserve(apps.size());
-  for (const auto& app : apps) {
-    scheduled.push_back(
-        ScheduledApp{&app, &library_->curve(app)});
+  for (const ApplicationSpec* app : apps) {
+    scheduled.push_back(ScheduledApp{app, &library_->curve(*app)});
   }
   ContentionSolution solution =
       solve_contention(machine_, machine_.pstates[pstate_index].frequency_ghz,
@@ -115,11 +123,11 @@ RunMeasurement Simulator::measure(const ApplicationSpec& target,
   metrics.runs.inc();
   metrics.instructions.inc(static_cast<std::uint64_t>(target.instructions));
 
-  std::vector<ApplicationSpec> all;
-  all.reserve(coapps.size() + 1);
-  all.push_back(target);
-  all.insert(all.end(), coapps.begin(), coapps.end());
-  const ContentionSolution solution = solve(all, pstate_index);
+  std::vector<const ApplicationSpec*> ordered;
+  ordered.reserve(coapps.size() + 1);
+  ordered.push_back(&target);
+  for (const auto& c : coapps) ordered.push_back(&c);
+  const ContentionSolution solution = solve(ordered, pstate_index);
   const AppSolution& t = solution.apps.front();
 
   RunMeasurement m;

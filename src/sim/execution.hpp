@@ -109,6 +109,11 @@ class Simulator : public MeasurementSource {
                            std::size_t pstate_index) const;
 
  private:
+  /// solve() over the ordered spec pointers: same key, same memo, same
+  /// result, without copying the specs.
+  ContentionSolution solve(const std::vector<const ApplicationSpec*>& apps,
+                           std::size_t pstate_index) const;
+
   RunMeasurement measure(const ApplicationSpec& target,
                          const std::vector<ApplicationSpec>& coapps,
                          std::size_t pstate_index, std::uint64_t repetition);

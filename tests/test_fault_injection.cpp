@@ -4,12 +4,14 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cmath>
 #include <cstdlib>
 #include <string>
 #include <vector>
 
 #include "common/error.hpp"
+#include "core/campaign.hpp"
 #include "sim/execution.hpp"
 #include "test_helpers.hpp"
 
@@ -307,6 +309,45 @@ TEST_F(FaultInjectorTest, InjectionIsDeterministicAcrossInstances) {
           << ma.execution_time_s << " vs " << mb.execution_time_s;
     }
   }
+}
+
+TEST_F(FaultInjectorTest, CampaignHangsEndAtTheAttemptDeadline) {
+  // Hang-only faults under a 20 ms deadline and a 250 ms cap: attempts run
+  // inline, so only the token's deadline can end a hang before the cap.
+  FaultPlanConfig config = config_with(0.15, 99);
+  config.kinds = {FaultKind::kHang};
+  config.hang_cap_ms = 250.0;
+  const FaultPlan plan(config);
+  FaultInjector injector(simulator_, plan);
+  for (const auto& app : apps_) library_.curve(app);  // profile up front
+
+  core::CampaignConfig campaign;
+  campaign.targets = apps_;
+  campaign.coapps = {apps_[0], apps_[3]};
+  campaign.jobs = 2;
+  core::CampaignRobustness robustness;
+  robustness.retry.deadline_ms = 20.0;
+  robustness.retry.base_backoff_ms = 0.1;
+  robustness.retry.max_backoff_ms = 1.0;
+
+  const auto start = std::chrono::steady_clock::now();
+  const core::CampaignResult result =
+      core::run_campaign(injector, campaign, robustness);
+  const double elapsed_ms = std::chrono::duration<double, std::milli>(
+                                std::chrono::steady_clock::now() - start)
+                                .count();
+
+  const CompletenessReport& report = result.completeness;
+  const std::uint64_t hangs = injector.injected(FaultKind::kHang);
+  ASSERT_GT(hangs, 0u);
+  EXPECT_GE(report.deadline_overruns, hangs) << "every hang overruns";
+  // 4 apps x 3 P-states baselines + 4 targets x 2 co-apps x 3 counts x 3
+  // P-states cells, each either measured or quarantined.
+  EXPECT_EQ(report.cells_attempted, 84u);
+  EXPECT_EQ(report.cells_ok + report.cells_quarantined,
+            report.cells_attempted);
+  EXPECT_LT(elapsed_ms, 0.5 * config.hang_cap_ms * static_cast<double>(hangs))
+      << hangs << " hangs took " << elapsed_ms << " ms in all";
 }
 
 TEST(ErrorTaxonomy, ClassesRoundTripToStrings) {

@@ -189,6 +189,7 @@ TEST(ResilientRunner, DeadlineOverrunCancelsAndRetries) {
   RetryPolicy policy = fast_policy(3);
   policy.deadline_ms = 60.0;
   ResilientRunner runner(policy);
+  const auto start = std::chrono::steady_clock::now();
   const auto result = runner.measure_cell(
       "slow|cell|x1|p0", 0.0, [](std::uint64_t attempt) {
         if (attempt == 0) {
@@ -205,6 +206,43 @@ TEST(ResilientRunner, DeadlineOverrunCancelsAndRetries) {
       });
   ASSERT_TRUE(result.has_value());
   EXPECT_GE(runner.report().deadline_overruns, 1u);
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(5))
+      << "the hang ended at its deadline, not at its own 10 s cap";
+}
+
+TEST(ResilientRunner, AttemptRunsOnCallingThread) {
+  ResilientRunner runner(fast_policy());
+  std::thread::id seen;
+  const auto result = runner.measure_cell(
+      "here|cell|x1|p0", 0.0, [&seen](std::uint64_t) {
+        seen = std::this_thread::get_id();
+        return good_measurement();
+      });
+  ASSERT_TRUE(result.has_value());
+  EXPECT_EQ(seen, std::this_thread::get_id());
+}
+
+TEST(ResilientRunner, ValidReadingAfterDeadlineIsAnOverrun) {
+  // An attempt that never polls its token and returns a good reading only
+  // after the deadline: the reading is discarded and the cell retried.
+  RetryPolicy policy = fast_policy(3);
+  policy.deadline_ms = 20.0;
+  ResilientRunner runner(policy);
+  std::vector<std::uint64_t> attempts;
+  const auto result = runner.measure_cell(
+      "late|cell|x1|p0", 0.0, [&attempts](std::uint64_t attempt) {
+        attempts.push_back(attempt);
+        if (attempt == 0) {
+          std::this_thread::sleep_for(std::chrono::milliseconds(60));
+          return good_measurement(99.0);
+        }
+        return good_measurement();
+      });
+  ASSERT_TRUE(result.has_value());
+  EXPECT_EQ(result->execution_time_s, 10.0) << "the late reading was kept";
+  EXPECT_EQ(attempts, (std::vector<std::uint64_t>{0, 1}));
+  EXPECT_EQ(runner.report().deadline_overruns, 1u);
+  EXPECT_EQ(runner.report().retries, 1u);
 }
 
 TEST(ResilientRunner, AccountsResumedAndSkippedCells) {
@@ -222,8 +260,7 @@ TEST(ResilientRunner, AccountsResumedAndSkippedCells) {
 }
 
 TEST(ResilientRunner, MeasureOutcomeIsPureAndCommitFoldsExplicitly) {
-  ResilientRunner runner(fast_policy(), PlausibilityBounds{},
-                         /*deadline_workers=*/2);
+  ResilientRunner runner(fast_policy());
   auto flaky_once = [](std::uint64_t attempt) -> sim::RunMeasurement {
     if (attempt == 0) {
       throw MeasurementError(ErrorClass::kTransient, "flaky first read");
@@ -256,8 +293,7 @@ TEST(ResilientRunner, ConcurrentCellsAccountExactly) {
   // campaign's usage); tallies must come out exact, not approximately —
   // this test doubles as the TSan coverage for the concurrent runner.
   constexpr int kCells = 24;
-  ResilientRunner runner(fast_policy(), PlausibilityBounds{},
-                         /*deadline_workers=*/4);
+  ResilientRunner runner(fast_policy());
   ThreadPool pool(4);
   std::vector<std::future<void>> inflight;
   std::atomic<int> ok{0};

@@ -199,50 +199,35 @@ TEST(CancellationScope, ExposesTokenToNestedCode) {
       << "scope exit restores the previous (empty) token";
 }
 
-TEST(SubmitWithDeadline, FastTaskCompletesInTime) {
-  ThreadPool pool(2);
-  std::atomic<bool> ran{false};
-  DeadlineTask task = pool.submit_with_deadline(
-      [&ran](const CancellationToken&) { ran = true; },
-      std::chrono::milliseconds(5000));
-  EXPECT_TRUE(task.wait_until_deadline());
-  EXPECT_NO_THROW(task.future.get());
-  EXPECT_TRUE(ran.load());
+TEST(CancellationToken, FarDeadlineStaysLive) {
+  const CancellationToken token(std::chrono::steady_clock::now() +
+                                std::chrono::seconds(60));
+  EXPECT_FALSE(token.cancelled());
+  token.request_cancel();
+  EXPECT_TRUE(token.cancelled()) << "the flag still cancels early";
 }
 
-TEST(SubmitWithDeadline, OverrunCancelsToken) {
-  ThreadPool pool(1);
-  std::atomic<bool> saw_cancel{false};
-  DeadlineTask task = pool.submit_with_deadline(
-      [&saw_cancel](const CancellationToken& token) {
-        const auto give_up = std::chrono::steady_clock::now() +
-                             std::chrono::seconds(10);
-        while (!token.cancelled() &&
-               std::chrono::steady_clock::now() < give_up) {
-          std::this_thread::sleep_for(std::chrono::milliseconds(1));
-        }
-        saw_cancel = token.cancelled();
-      },
-      std::chrono::milliseconds(50));
-  EXPECT_FALSE(task.wait_until_deadline());
-  EXPECT_TRUE(task.token.cancelled());
-  task.future.get();  // the worker exits promptly after cancellation
-  EXPECT_TRUE(saw_cancel.load());
-}
-
-TEST(SubmitWithDeadline, QueuedTaskAbandonedAfterExpiry) {
-  ThreadPool pool(1);
-  // Occupy the single worker past the second task's deadline.
-  auto blocker = pool.submit([] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(150));
-  });
-  DeadlineTask task = pool.submit_with_deadline(
-      [](const CancellationToken&) { FAIL() << "must never start"; },
-      std::chrono::milliseconds(30));
-  EXPECT_FALSE(task.wait_until_deadline());
-  blocker.get();
-  EXPECT_THROW(task.future.get(), coloc::runtime_error)
-      << "a task whose deadline expired while queued is dropped";
+TEST(CancellationToken, DeadlineCancelsPollingCode) {
+  // The inline analogue of a deadline watchdog: code polling the scope's
+  // token stops at the deadline with no second thread involved.
+  const auto start = std::chrono::steady_clock::now();
+  const CancellationToken token(start + std::chrono::milliseconds(50));
+  const CancellationToken copy = token;
+  bool saw_cancel = false;
+  {
+    CancellationScope scope(token);
+    const auto give_up = start + std::chrono::seconds(10);
+    while (!CancellationScope::current_cancelled() &&
+           std::chrono::steady_clock::now() < give_up) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    saw_cancel = CancellationScope::current_cancelled();
+  }
+  const auto waited = std::chrono::steady_clock::now() - start;
+  EXPECT_TRUE(saw_cancel);
+  EXPECT_TRUE(copy.cancelled()) << "copies share the deadline";
+  EXPECT_GE(waited, std::chrono::milliseconds(50));
+  EXPECT_LT(waited, std::chrono::seconds(5)) << "ended at the deadline";
 }
 
 }  // namespace
